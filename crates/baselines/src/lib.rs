@@ -1,5 +1,3 @@
-#![allow(deprecated)] // exercises the pre-Engine API on purpose
-
 //! # sa-baselines — the estimators the paper argues against (and with)
 //!
 //! The related-work section of the paper motivates GUS by the failure of
@@ -15,8 +13,8 @@
 //! * [`bootstrap`] — resample the result tuples with replacement and take
 //!   percentile intervals; equally blind to join correlation.
 //! * [`oracle_variance`] — the *true* Theorem-1 variance computed from the
-//!   full population (execute the sampling-free plan, accumulate exact
-//!   `y_S`, apply the GUS coefficients). The gold standard coverage
+//!   full population (drain the sampling-free plan's stream, accumulate
+//!   exact `y_S`, apply the GUS coefficients). The gold standard coverage
 //!   experiments calibrate against.
 
 #![warn(missing_docs)]
@@ -24,10 +22,12 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use sa_core::{exact_variance, normal_ci, ConfidenceInterval, GroupedMoments};
-use sa_exec::{approx_query, exact_query, execute, ApproxOptions, ExecOptions};
-use sa_expr::{bind, eval_f64};
-use sa_plan::{rewrite, AggFunc, LogicalPlan};
+use sa_core::{
+    estimate_from_sample_moments, exact_variance, normal_ci, ConfidenceInterval, GroupedMoments,
+};
+use sa_exec::{agg_results_from_report, exact_query, layout_dims, open_stream};
+use sa_exec::{DimLayout, ExecOptions};
+use sa_plan::{rewrite, AggFunc, AggSpec, LogicalPlan};
 use sa_storage::Catalog;
 
 /// Seed tweak for the bootstrap's own RNG stream.
@@ -142,34 +142,14 @@ pub fn oracle_variance(plan: &LogicalPlan, catalog: &Catalog) -> sa_exec::Result
             "oracle variance for AVG is a delta-method quantity; use SUM/COUNT".into(),
         ));
     }
-    let rs = execute(input, catalog, &ExecOptions::default())?;
-    let bound = spec
-        .expr
-        .as_ref()
-        .map(|e| bind(e, &rs.schema))
-        .transpose()
-        .map_err(sa_exec::ExecError::Expr)?;
+    let (_, lineage, f) = drain(input, std::slice::from_ref(spec), catalog, 0)?;
     let mut acc = GroupedMoments::new(analysis.schema.n(), 1);
-    for row in &rs.rows {
-        let f = match &bound {
-            None => 1.0,
-            Some(e) => match spec.func {
-                AggFunc::Count => {
-                    if eval_f64(e, &row.values)
-                        .map_err(sa_exec::ExecError::Expr)?
-                        .is_some()
-                    {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                }
-                _ => eval_f64(e, &row.values)
-                    .map_err(sa_exec::ExecError::Expr)?
-                    .unwrap_or(0.0),
-            },
-        };
-        acc.push_scalar(&row.lineage, f)
+    let mut row_lineage = vec![0u64; lineage.len()];
+    for (row, &v) in f[0].iter().enumerate() {
+        for (l, ids) in row_lineage.iter_mut().zip(&lineage) {
+            *l = ids[row];
+        }
+        acc.push_scalar(&row_lineage, v)
             .map_err(sa_exec::ExecError::Core)?;
     }
     Ok(exact_variance(&analysis.gus, &acc.finish(), 0))
@@ -199,54 +179,37 @@ pub fn compare_estimators(
     level: f64,
     bootstrap_resamples: u32,
 ) -> sa_exec::Result<ComparisonRun> {
-    let approx = approx_query(
-        plan,
-        catalog,
-        &ApproxOptions {
-            seed,
-            confidence: level,
-            subsample_target: None,
-        },
-    )?;
-    let gus = approx.aggs[0].clone();
-    let a = approx.analysis.gus.a();
-
-    // Re-execute the sampled input with the same seed to extract raw f
-    // values for the baselines (execution is deterministic in the seed).
+    let analysis = rewrite(plan, catalog)?;
     let LogicalPlan::Aggregate { aggs, input } = plan else {
         return Err(sa_exec::ExecError::Unsupported(
             "comparison requires an aggregate plan".into(),
         ));
     };
-    let rs = execute(
-        input,
-        catalog,
-        &ExecOptions {
-            seed,
-            ..Default::default()
-        },
-    )?;
-    let spec = &aggs[0];
-    let bound = spec
-        .expr
-        .as_ref()
-        .map(|e| bind(e, &rs.schema))
-        .transpose()
-        .map_err(sa_exec::ExecError::Expr)?;
-    let mut fs = Vec::with_capacity(rs.rows.len());
-    for row in &rs.rows {
-        let f = match &bound {
-            None => 1.0,
-            Some(e) => eval_f64(e, &row.values)
-                .map_err(sa_exec::ExecError::Expr)?
-                .unwrap_or(0.0),
-        };
-        fs.push(f);
+    // One drain of the sampled stream feeds every estimator: the SBox's
+    // batch moments (the same sample `QueryBuilder::batch` reads for this
+    // seed) and the baselines' raw `f` values of the first aggregate.
+    let (layout, lineage, f) = drain(input, aggs, catalog, seed)?;
+    let mut acc = GroupedMoments::new(analysis.schema.n(), layout.dims());
+    let mut row_lineage = vec![0u64; lineage.len()];
+    let mut row_f = vec![0.0; layout.dims()];
+    for row in 0..f[0].len() {
+        for (l, ids) in row_lineage.iter_mut().zip(&lineage) {
+            *l = ids[row];
+        }
+        for (v, col) in row_f.iter_mut().zip(&f) {
+            *v = col[row];
+        }
+        acc.push(&row_lineage, &row_f)
+            .map_err(sa_exec::ExecError::Core)?;
     }
+    let report = estimate_from_sample_moments(&analysis.gus, &acc.finish())?;
+    let gus = agg_results_from_report(aggs, &layout, &report, level).remove(0);
+    let a = analysis.gus.a();
+    let fs = &f[layout.per_agg()[0].0];
 
-    let naive = naive_clt(&fs, a, level).map_err(sa_exec::ExecError::Core)?;
+    let naive = naive_clt(fs, a, level).map_err(sa_exec::ExecError::Core)?;
     let boot = bootstrap(
-        &fs,
+        fs,
         a,
         level,
         bootstrap_resamples,
@@ -262,6 +225,41 @@ pub fn compare_estimators(
         bootstrap: boot,
         oracle_variance: oracle,
     })
+}
+
+/// One value column per base relation (lineage) or per SBox dimension.
+type Columns<T> = Vec<Vec<T>>;
+
+/// Drain the stream of `input` (sampled with `seed`) to the end: the SBox
+/// dimension layout of `aggs`, then the lineage id columns (one per base
+/// relation) and the `f` value columns (one per dimension) of every row.
+fn drain(
+    input: &LogicalPlan,
+    aggs: &[AggSpec],
+    catalog: &Catalog,
+    seed: u64,
+) -> sa_exec::Result<(DimLayout, Columns<u64>, Columns<f64>)> {
+    let opts = ExecOptions {
+        seed,
+        ..Default::default()
+    };
+    let mut stream = open_stream(input, catalog, &opts)?;
+    let layout = layout_dims(aggs, stream.schema())?;
+    let dim_eval = layout.compile_batch(stream.schema())?;
+    let mut lineage = vec![Vec::new(); stream.relations().len()];
+    let mut f = vec![Vec::new(); layout.dims()];
+    loop {
+        let chunk = stream.next_batch(1 << 14)?;
+        if chunk.is_empty() {
+            return Ok((layout, lineage, f));
+        }
+        for (all, ids) in lineage.iter_mut().zip(&chunk.lineage) {
+            all.extend_from_slice(ids);
+        }
+        for (all, col) in f.iter_mut().zip(dim_eval.eval(&chunk.batch)?) {
+            all.extend(col);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,16 +1,14 @@
-#![allow(deprecated)] // exercises the pre-Engine API on purpose
-
 //! Criterion bench for the online aggregation subsystem: incremental
 //! accumulation vs batch, the O(1)-in-rows snapshot readout, shard merge,
-//! and the chunked stream vs materializing execution.
+//! and the columnar stream vs its row adapter.
 
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sa_bench::workloads;
 use sa_core::{GroupedMoments, GusParams, MomentAccumulator};
-use sa_exec::{execute, open_stream, ExecOptions};
-use sa_online::{run_online, Engine, OnlineOptions, StoppingRule};
+use sa_exec::{open_stream, ExecOptions};
+use sa_online::{Engine, QueryOptions, StoppingRule};
 use sa_plan::{AggSpec, LogicalPlan};
 use sa_sampling::SamplingMethod;
 use sa_storage::{Catalog, DataType, Field, Schema, TableBuilder, Value};
@@ -97,7 +95,8 @@ fn catalog() -> Catalog {
     c
 }
 
-/// Chunked pull-based execution vs materializing the whole result.
+/// The row adapter (`next_chunk`) vs the columnar chunks it wraps
+/// (`next_batch`), over the same sampled stream.
 fn bench_stream_vs_materialize(c: &mut Criterion) {
     let mut group = c.benchmark_group("online_stream");
     let cat = catalog();
@@ -125,21 +124,22 @@ fn bench_stream_vs_materialize(c: &mut Criterion) {
             black_box(rows)
         })
     });
-    group.bench_function("materialize", |b| {
+    group.bench_function("columnar_stream", |b| {
         b.iter(|| {
-            black_box(
-                execute(
-                    &plan,
-                    &cat,
-                    &ExecOptions {
-                        seed: 1,
-                        ..Default::default()
-                    },
-                )
-                .unwrap()
-                .rows
-                .len(),
-            )
+            let opts = ExecOptions {
+                seed: 1,
+                ..Default::default()
+            };
+            let mut s = open_stream(&plan, &cat, &opts).unwrap();
+            let mut rows = 0u64;
+            loop {
+                let chunk = s.next_batch(4096).unwrap();
+                if chunk.is_empty() {
+                    break;
+                }
+                rows += chunk.rows() as u64;
+            }
+            black_box(rows)
         })
     });
     group.finish();
@@ -149,31 +149,27 @@ fn bench_stream_vs_materialize(c: &mut Criterion) {
 /// the wall-clock win online aggregation buys.
 fn bench_progressive_loop(c: &mut Criterion) {
     let mut group = c.benchmark_group("online_loop");
-    let cat = catalog();
+    let engine = Engine::new(catalog());
     let plan = LogicalPlan::scan("t")
         .sample(SamplingMethod::Bernoulli { p: 0.5 })
         .aggregate(vec![AggSpec::sum(sa_expr::col("v"), "s")]);
-    let base = OnlineOptions {
+    let base = QueryOptions {
         seed: 3,
         chunk_rows: 4096,
         ..Default::default()
     };
-    group.bench_function("run_to_exhaustion", |b| {
-        b.iter(|| {
-            let r = run_online(&plan, &cat, &base, |_| {}).unwrap();
-            black_box(r.snapshot.rows)
-        })
-    });
-    let early = OnlineOptions {
+    let early = QueryOptions {
         rule: StoppingRule::ci(0.05, 0.95),
         ..base.clone()
     };
-    group.bench_function("stop_at_5pct_ci", |b| {
-        b.iter(|| {
-            let r = run_online(&plan, &cat, &early, |_| {}).unwrap();
-            black_box(r.snapshot.rows)
-        })
-    });
+    for (name, opts) in [("run_to_exhaustion", &base), ("stop_at_5pct_ci", &early)] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let query = engine.session().query_plan(&plan).options(opts.clone());
+                black_box(query.run().unwrap().snapshot.rows())
+            })
+        });
+    }
     group.finish();
 }
 
@@ -184,21 +180,20 @@ fn bench_progressive_loop(c: &mut Criterion) {
 /// measures into `BENCH_PR5.json`.
 fn bench_tpch_scan_filter(c: &mut Criterion) {
     let mut group = c.benchmark_group("online_tpch");
-    let cat = workloads::tpch_small(7);
-    let rows = cat.get("lineitem").unwrap().row_count();
+    let engine = Engine::new(workloads::tpch_small(7));
+    let rows = engine.catalog().get("lineitem").unwrap().row_count();
     group.throughput(Throughput::Elements(rows));
     let scan = workloads::columnar::scan_plan();
     let scan_filter = workloads::columnar::filter_project_plan();
-    let opts = OnlineOptions {
-        seed: 1,
-        chunk_rows: 4096,
-        ..Default::default()
-    };
     for (name, plan) in [("scan", &scan), ("scan_filter", &scan_filter)] {
         group.bench_function(name, |b| {
             b.iter(|| {
-                let r = run_online(black_box(plan), &cat, &opts, |_| {}).unwrap();
-                black_box(r.snapshot.rows)
+                let query = engine
+                    .session()
+                    .query_plan(black_box(plan))
+                    .seed(1)
+                    .chunk_rows(4096);
+                black_box(query.run().unwrap().snapshot.rows())
             })
         });
     }

@@ -1,7 +1,5 @@
-#![allow(deprecated)] // exercises the pre-Engine API on purpose
-
 //! Criterion bench for shard-parallel online aggregation: the scaling
-//! curve of `OnlineOptions::parallelism` on time-to-fixed-ε-stop and on
+//! curve of `QueryOptions::parallelism` on time-to-fixed-ε-stop and on
 //! run-to-exhaustion throughput.
 //!
 //! The workload follows the regime that motivates parallel drivers (Kang
@@ -15,7 +13,7 @@ use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sa_expr::{col, lit};
-use sa_online::{run_online, OnlineOptions, StoppingRule};
+use sa_online::{Engine, QueryOptions, StoppingRule};
 use sa_plan::{AggSpec, LogicalPlan};
 use sa_sampling::SamplingMethod;
 use sa_storage::{Catalog, DataType, Field, Schema, TableBuilder, Value};
@@ -63,8 +61,8 @@ fn plan() -> LogicalPlan {
         .aggregate(vec![AggSpec::sum(col("x"), "s")])
 }
 
-fn opts(jobs: usize, rule: StoppingRule) -> OnlineOptions {
-    OnlineOptions {
+fn opts(jobs: usize, rule: StoppingRule) -> QueryOptions {
+    QueryOptions {
         seed: 11,
         chunk_rows: 4096,
         rule,
@@ -77,19 +75,16 @@ fn opts(jobs: usize, rule: StoppingRule) -> OnlineOptions {
 /// the headline scaling curve.
 fn bench_fixed_eps_stop(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel_online_ci_stop");
-    let cat = catalog();
+    let engine = Engine::new(catalog());
     let plan = plan();
     for jobs in [1usize, 2, 4] {
         group.bench_with_input(BenchmarkId::from_parameter(jobs), &jobs, |b, &jobs| {
             b.iter(|| {
-                let r = run_online(
-                    &plan,
-                    &cat,
-                    &opts(jobs, StoppingRule::ci(0.01, 0.95)),
-                    |_| {},
-                )
-                .unwrap();
-                black_box(r.snapshot.rows)
+                let query = engine
+                    .session()
+                    .query_plan(&plan)
+                    .options(opts(jobs, StoppingRule::ci(0.01, 0.95)));
+                black_box(query.run().unwrap().snapshot.rows())
             })
         });
     }
@@ -101,14 +96,16 @@ fn bench_fixed_eps_stop(c: &mut Criterion) {
 /// noise).
 fn bench_exhaustion(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel_online_exhaustion");
-    let cat = catalog();
+    let engine = Engine::new(catalog());
     let plan = plan();
     for jobs in [1usize, 2, 4] {
         group.bench_with_input(BenchmarkId::from_parameter(jobs), &jobs, |b, &jobs| {
             b.iter(|| {
-                let r = run_online(&plan, &cat, &opts(jobs, StoppingRule::exhaustive()), |_| {})
-                    .unwrap();
-                black_box(r.snapshot.rows)
+                let query = engine
+                    .session()
+                    .query_plan(&plan)
+                    .options(opts(jobs, StoppingRule::exhaustive()));
+                black_box(query.run().unwrap().snapshot.rows())
             })
         });
     }

@@ -1,5 +1,3 @@
-#![allow(deprecated)] // exercises the pre-Engine API on purpose
-
 //! Machine-readable throughput report for the online execution engine.
 //!
 //! Runs the four canonical TPC-H online workloads — scan, filter+project,
@@ -28,9 +26,7 @@ use std::time::Instant;
 
 use sa_bench::workloads::{self, columnar};
 use sa_expr::col;
-use sa_online::{
-    run_online, run_online_grouped, Engine, GroupedOnlineOptions, OnlineOptions, StoppingRule,
-};
+use sa_online::{Engine, QueryOptions, StoppingRule};
 use sa_plan::LogicalPlan;
 use sa_storage::{open_catalog_dir, persist_catalog, Catalog};
 
@@ -52,8 +48,8 @@ impl Cell {
     }
 }
 
-fn online_opts(jobs: usize) -> OnlineOptions {
-    OnlineOptions {
+fn online_opts(jobs: usize) -> QueryOptions {
+    QueryOptions {
         seed: 1,
         chunk_rows: 4096,
         rule: StoppingRule::exhaustive(),
@@ -70,14 +66,15 @@ fn measure_scalar(
     jobs: usize,
     reps: usize,
 ) -> Cell {
-    let opts = online_opts(jobs);
+    let engine = Engine::new(catalog.clone());
     let mut best = f64::INFINITY;
     let mut rows = 0;
     for _ in 0..reps {
+        let query = engine.session().query_plan(plan).options(online_opts(jobs));
         let t = Instant::now();
-        let r = run_online(plan, catalog, &opts, |_| {}).expect("workload runs");
+        let r = query.run().expect("workload runs");
         let secs = t.elapsed().as_secs_f64();
-        rows = r.snapshot.rows;
+        rows = r.snapshot.rows();
         best = best.min(secs);
     }
     Cell {
@@ -90,19 +87,20 @@ fn measure_scalar(
 
 /// Best-of-`reps` exhaustion run of the grouped workload.
 fn measure_grouped(catalog: &Catalog, jobs: usize, reps: usize) -> Cell {
-    let opts = GroupedOnlineOptions {
-        online: online_opts(jobs),
-        ..Default::default()
-    };
+    let engine = Engine::new(catalog.clone());
     let plan = columnar::grouped_plan();
     let mut best = f64::INFINITY;
     let mut rows = 0;
     for _ in 0..reps {
+        let query = engine
+            .session()
+            .query_plan(&plan)
+            .options(online_opts(jobs))
+            .group_by(vec![col("l_returnflag")]);
         let t = Instant::now();
-        let r = run_online_grouped(&plan, &[col("l_returnflag")], catalog, &opts, |_| {})
-            .expect("grouped workload runs");
+        let r = query.run().expect("grouped workload runs");
         let secs = t.elapsed().as_secs_f64();
-        rows = r.snapshot.rows;
+        rows = r.snapshot.rows();
         best = best.min(secs);
     }
     Cell {

@@ -1,5 +1,3 @@
-#![allow(deprecated)] // exercises the pre-Engine API on purpose
-
 //! Experiments E5 and E7: accuracy/coverage analysis and the comparison
 //! against naive estimators.
 //!
@@ -9,7 +7,7 @@
 //! and provide accuracy and runtime analysis" — on the TPC-H substrate.
 
 use sa_baselines::compare_estimators;
-use sa_exec::{approx_query, exact_query, ApproxOptions};
+use sa_exec::exact_query;
 use sa_plan::LogicalPlan;
 use sa_storage::Catalog;
 
@@ -37,16 +35,7 @@ fn coverage_cell(
     let mut covered_c = 0u64;
     let mut width = 0.0;
     for seed in 0..trials {
-        let r = approx_query(
-            plan,
-            catalog,
-            &ApproxOptions {
-                seed,
-                confidence: 0.95,
-                subsample_target: None,
-            },
-        )
-        .unwrap();
+        let r = workloads::batch_estimate(catalog, plan, seed, None);
         let a = &r.aggs[0];
         rel_err += (a.estimate - exact).abs() / exact.abs();
         let ci_n = a.ci_normal.as_ref().unwrap();

@@ -1,5 +1,3 @@
-#![allow(deprecated)] // exercises the pre-Engine API on purpose
-
 //! Experiments E1–E4: regenerate the paper's printed artifacts
 //! (Figure 1 table, Figure 2/Examples 1–3, Figure 4/Example 4,
 //! Figure 5/Examples 5–6).
@@ -83,16 +81,7 @@ pub fn query1() -> String {
 
     // End-to-end estimate vs exact.
     let exact = sa_exec::exact_query(&plan, &catalog).unwrap()[0];
-    let r = sa_exec::approx_query(
-        &plan,
-        &catalog,
-        &sa_exec::ApproxOptions {
-            seed: 3,
-            confidence: 0.95,
-            subsample_target: None,
-        },
-    )
-    .unwrap();
+    let r = workloads::batch_estimate(&catalog, &plan, 3, None);
     let a = &r.aggs[0];
     out.push_str(&format!(
         "\n| quantity | value |\n|---|---|\n| exact answer | {exact:.2} |\n\

@@ -1,5 +1,3 @@
-#![allow(deprecated)] // exercises the pre-Engine API on purpose
-
 //! Experiment E6: runtime analysis.
 //!
 //! (i) SOA rewriter latency vs number of relations (the paper claims "a few
@@ -12,7 +10,6 @@
 use std::time::Instant;
 
 use sa_core::{estimate_from_sample_moments, GroupedMoments, SBox};
-use sa_exec::{approx_query, ApproxOptions};
 use sa_plan::rewrite;
 
 use crate::workloads;
@@ -121,16 +118,7 @@ pub fn subsample() -> String {
          | variance source | tuples used | std-error estimate | total time (ms) |\n|---|---|---|---|\n",
     );
     let t0 = Instant::now();
-    let full = approx_query(
-        &plan,
-        &catalog,
-        &ApproxOptions {
-            seed: 2,
-            confidence: 0.95,
-            subsample_target: None,
-        },
-    )
-    .unwrap();
+    let full = workloads::batch_estimate(&catalog, &plan, 2, None);
     let t_full = t0.elapsed();
     out.push_str(&format!(
         "| full sample | {} | {:.1} | {:.1} |\n",
@@ -140,16 +128,7 @@ pub fn subsample() -> String {
     ));
     for target in [10_000u64, 2_000, 500] {
         let t0 = Instant::now();
-        let sub = approx_query(
-            &plan,
-            &catalog,
-            &ApproxOptions {
-                seed: 2,
-                confidence: 0.95,
-                subsample_target: Some(target),
-            },
-        )
-        .unwrap();
+        let sub = workloads::batch_estimate(&catalog, &plan, 2, Some(target));
         let t_sub = t0.elapsed();
         out.push_str(&format!(
             "| sub-sample ≈{target} | {} | {:.1} | {:.1} |\n",

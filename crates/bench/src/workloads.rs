@@ -1,6 +1,7 @@
 //! Shared workload builders for experiments and criterion benches.
 
-use sa_exec::{execute, ExecOptions};
+use sa_exec::{open_stream, ApproxResult, ExecOptions};
+use sa_online::Engine;
 use sa_plan::LogicalPlan;
 use sa_sql::plan_sql;
 use sa_storage::{Catalog, DataType, Field, Schema, TableBuilder, Value};
@@ -116,8 +117,8 @@ pub mod columnar {
             .aggregate(vec![AggSpec::sum(col("disc_price"), "s")])
     }
 
-    /// Grouped: per-group SUM over the return flag (drive with
-    /// `run_online_grouped` and key `l_returnflag`).
+    /// Grouped: per-group SUM over the return flag (run it with
+    /// `.group_by(vec![col("l_returnflag")])`).
     pub fn grouped_plan() -> LogicalPlan {
         scan_plan()
     }
@@ -216,27 +217,45 @@ pub fn materialized_result(
     let LogicalPlan::Aggregate { input, aggs } = plan else {
         panic!("aggregate plan required")
     };
-    let rs = execute(
-        input,
-        catalog,
-        &ExecOptions {
-            seed,
-            ..Default::default()
-        },
-    )
-    .expect("executes");
+    let opts = ExecOptions {
+        seed,
+        ..Default::default()
+    };
+    let mut stream = open_stream(input, catalog, &opts).expect("opens");
     let expr = aggs[0].expr.as_ref().expect("sum agg");
-    let bound = sa_expr::bind(expr, &rs.schema).expect("binds");
-    let n = rs.relations.len();
-    let rows = rs
-        .rows
-        .iter()
-        .map(|r| {
-            let f = sa_expr::eval_f64(&bound, &r.values)
-                .expect("evaluates")
-                .unwrap_or(0.0);
-            (r.lineage.clone(), f)
-        })
-        .collect();
-    (n, rows)
+    let kernel = sa_expr::compile(expr, stream.schema()).expect("compiles");
+    let n = stream.relations().len();
+    let mut rows = Vec::new();
+    loop {
+        let chunk = stream.next_batch(1 << 14).expect("streams");
+        if chunk.is_empty() {
+            return (n, rows);
+        }
+        let (f, validity) = kernel.eval_f64(&chunk.batch).expect("evaluates");
+        for (i, v) in f.into_iter().enumerate() {
+            let valid = validity.as_ref().is_none_or(|ok| ok[i]);
+            let lineage = chunk.lineage.iter().map(|l| l[i]).collect();
+            rows.push((lineage, if valid { v } else { 0.0 }));
+        }
+    }
+}
+
+/// The one-shot batch estimate of the scalar `plan` with `seed` (an engine
+/// over `catalog`'s shared tables), optionally with Section 7 variance
+/// sub-sampling from about `subsample` tuples.
+pub fn batch_estimate(
+    catalog: &Catalog,
+    plan: &LogicalPlan,
+    seed: u64,
+    subsample: Option<u64>,
+) -> ApproxResult {
+    let mut query = Engine::new(catalog.clone())
+        .session()
+        .query_plan(plan)
+        .seed(seed);
+    if let Some(rows) = subsample {
+        query = query.subsample(rows);
+    }
+    let out = query.batch().expect("batch query runs");
+    out.as_scalar().expect("scalar plan").clone()
 }

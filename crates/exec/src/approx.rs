@@ -1,50 +1,28 @@
-//! The approximate-query driver: rewriter → executor → SBox.
+//! Estimate results, the aggregate-to-SBox dimension layout, and exact
+//! answers.
 //!
-//! [`approx_query`] is the end-to-end entry point the paper's Section 6
-//! describes: run the user's sampled plan *as written*, funnel the result
-//! tuples' lineage and aggregate values into the SBox, and report unbiased
-//! estimates with confidence intervals for every aggregate in the `SELECT`
-//! list (including `QUANTILE(…)` views and delta-method `AVG`).
-//!
-//! Options cover the paper's Section 7 optimization — estimate the `Ŷ_S`
-//! variance terms from a deterministic lineage-hash sub-sample of ~10k
-//! result tuples while the point estimate still uses every tuple — and
-//! [`exact_query`] runs the sampling-free plan for ground truth comparisons.
+//! [`layout_dims`] maps the `SELECT` list onto SBox dimensions and
+//! [`BatchDimEval`] computes every dimension's `f` column for a whole
+//! columnar chunk; the online loops and the one-shot batch estimator
+//! (`sa-online`'s `QueryBuilder::batch`) push those columns into their
+//! moment accumulators and turn the readout into per-aggregate
+//! [`AggResult`]s with [`agg_results_from_report`]. [`exact_query`] and
+//! [`exact_group_query`] drain the stream of the sampling-free plan for
+//! ground truth.
 
-use sa_core::{
-    covariance_from_y, estimate_from_sample_moments, ratio, unbiased_y_hats, ConfidenceInterval,
-    EstimateReport, GroupedMoments, GusParams, LineageBernoulli,
-};
-use sa_expr::{bind, eval_f64, Expr};
-use sa_plan::{rewrite, AggFunc, AggSpec, LogicalPlan, SoaAnalysis};
-use sa_storage::Catalog;
+use std::collections::BTreeMap;
 
+use sa_core::hash::FpMap;
+use sa_core::{ratio, ConfidenceInterval, EstimateReport};
+use sa_expr::{bind, compile, eval_f64, Expr};
+use sa_plan::{rewrite, AggFunc, AggSpec, LogicalPlan, ScanColumnMap, SoaAnalysis};
+use sa_storage::{Catalog, Value};
+
+use crate::columnar::Row;
 use crate::error::ExecError;
-use crate::exec::{execute, ExecOptions, ResultSet};
+use crate::options::ExecOptions;
+use crate::stream::open_stream;
 use crate::Result;
-
-/// Options for [`approx_query`].
-#[derive(Debug, Clone)]
-pub struct ApproxOptions {
-    /// Seed for the plan's sampling operators.
-    pub seed: u64,
-    /// Confidence level for the reported intervals (e.g. 0.95).
-    pub confidence: f64,
-    /// When set, estimate the `Ŷ_S` terms from a lineage-hash sub-sample of
-    /// roughly this many result tuples (Section 7). The point estimate still
-    /// uses the full result.
-    pub subsample_target: Option<u64>,
-}
-
-impl Default for ApproxOptions {
-    fn default() -> Self {
-        ApproxOptions {
-            seed: 0,
-            confidence: 0.95,
-            subsample_target: None,
-        }
-    }
-}
 
 /// The report for one aggregate in the `SELECT` list.
 #[derive(Debug, Clone)]
@@ -66,7 +44,7 @@ pub struct AggResult {
     pub quantile_bound: Option<f64>,
 }
 
-/// The full approximate-query answer.
+/// The one-shot batch estimate of a scalar query.
 #[derive(Debug, Clone)]
 pub struct ApproxResult {
     /// One entry per aggregate in the `SELECT` list, in order.
@@ -149,9 +127,10 @@ pub fn layout_dims(aggs: &[AggSpec], schema: &sa_storage::Schema) -> Result<DimL
     })
 }
 
-/// The per-row aggregate vector `f(t)` of a result row under `layout` —
-/// what gets pushed (with the row's lineage) into a moment accumulator.
-pub fn f_vector(layout: &DimLayout, row: &crate::exec::Row) -> Result<Vec<f64>> {
+/// The per-row aggregate vector `f(t)` of a result row under `layout`,
+/// evaluated by the `sa_expr` interpreter — the row-level reference the
+/// test suites check [`BatchDimEval`] against.
+pub fn f_vector(layout: &DimLayout, row: &Row) -> Result<Vec<f64>> {
     let mut f = Vec::with_capacity(layout.dim_exprs.len());
     for (e, is_count) in layout.dim_exprs.iter().zip(&layout.dim_is_count) {
         let v = match e {
@@ -250,117 +229,6 @@ impl BatchDimEval {
     }
 }
 
-/// Run a sampled aggregate plan and produce estimates with confidence
-/// intervals. The plan root must be an [`LogicalPlan::Aggregate`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `sa_online::Engine::new(catalog).session().query_plan(&plan).batch()`"
-)]
-pub fn approx_query(
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-    opts: &ApproxOptions,
-) -> Result<ApproxResult> {
-    let analysis = rewrite(plan, catalog)?;
-    let LogicalPlan::Aggregate { aggs, input } = plan else {
-        return Err(ExecError::Unsupported(
-            "approx_query requires an aggregate at the plan root".into(),
-        ));
-    };
-
-    // Execute the sampled relational part exactly as written.
-    let rs = execute(
-        input,
-        catalog,
-        &ExecOptions {
-            seed: opts.seed,
-            ..Default::default()
-        },
-    )?;
-    let layout = layout_dims(aggs, &rs.schema)?;
-    let dims = layout.dim_exprs.len();
-    let n = analysis.schema.n();
-    let m = rs.rows.len() as u64;
-
-    // Section 7 sub-sampling: choose per-relation keep probabilities so the
-    // expected surviving tuple count is near the target, then compact the
-    // plan GUS with the sub-sampler's multi-dimensional Bernoulli.
-    let sub = match opts.subsample_target {
-        Some(target) if m > target && n > 0 => {
-            let keep = (target as f64 / m as f64).powf(1.0 / n as f64);
-            Some(LineageBernoulli::uniform(
-                analysis.schema.clone(),
-                keep,
-                opts.seed ^ 0x5u64.wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            )?)
-        }
-        _ => None,
-    };
-
-    let report = match &sub {
-        None => {
-            let mut acc = GroupedMoments::new(n, dims);
-            for row in &rs.rows {
-                acc.push(&row.lineage, &f_vector(&layout, row)?)?;
-            }
-            estimate_from_sample_moments(&analysis.gus, &acc.finish())?
-        }
-        Some(filter) => subsampled_report(&analysis.gus, filter, &rs, &layout, dims, n)?,
-    };
-
-    let variance_rows = report.m;
-    let aggs_out = agg_results_from_report(aggs, &layout, &report, opts.confidence);
-    Ok(ApproxResult {
-        aggs: aggs_out,
-        result_rows: m,
-        variance_rows,
-        analysis,
-        report,
-    })
-}
-
-/// Section 7: point estimate from the full result under the plan GUS;
-/// `Ŷ_S`/covariance from the lineage-hash sub-sample under the compacted
-/// GUS (Figure 5's pipeline).
-fn subsampled_report(
-    gus: &GusParams,
-    filter: &LineageBernoulli,
-    rs: &ResultSet,
-    layout: &DimLayout,
-    dims: usize,
-    n: usize,
-) -> Result<EstimateReport> {
-    let compacted = gus.compact(&filter.gus())?;
-    let mut totals = vec![0.0; dims];
-    let mut acc = GroupedMoments::new(n, dims);
-    for row in &rs.rows {
-        let f = f_vector(layout, row)?;
-        for (t, v) in totals.iter_mut().zip(&f) {
-            *t += v;
-        }
-        if filter.keeps(&row.lineage) {
-            acc.push(&row.lineage, &f)?;
-        }
-    }
-    let sub_moments = acc.finish();
-    let estimate: Vec<f64> = totals.iter().map(|t| t / gus.a()).collect();
-    let (covariance, y_hat) = match unbiased_y_hats(&compacted, &sub_moments) {
-        Ok(yh) => {
-            let cov = covariance_from_y(gus, &yh, dims);
-            (Some(cov), Some(yh))
-        }
-        Err(_) => (None, None),
-    };
-    Ok(EstimateReport::from_parts(
-        gus.clone(),
-        estimate,
-        covariance,
-        y_hat,
-        dims,
-        sub_moments.count,
-    ))
-}
-
 /// Turn a (possibly mid-stream) [`EstimateReport`] into per-aggregate
 /// results — point estimate, variance, both CI flavours and the `QUANTILE`
 /// bound — resolving delta-method `AVG` ratios. Shared by the batch driver
@@ -400,167 +268,201 @@ pub fn agg_results_from_report(
         .collect()
 }
 
+/// Estimates for one observed group.
+#[derive(Debug, Clone)]
+pub struct GroupEstimate {
+    /// The group key values, in `group_by` order.
+    pub key: Vec<Value>,
+    /// One result per aggregate in the `SELECT` list.
+    pub aggs: Vec<AggResult>,
+    /// Number of sampled result tuples in this group.
+    pub sample_rows: u64,
+}
+
+/// The one-shot batch estimate of a grouped query. Groups with no sampled
+/// tuple are absent (their estimate would be 0 with an honest but useless
+/// interval) — standard behaviour for sampling-based group-by estimation.
+#[derive(Debug, Clone)]
+pub struct GroupedApproxResult {
+    /// Renderings of the group-by expressions.
+    pub group_exprs: Vec<String>,
+    /// One entry per group observed in the sample, ordered by key.
+    pub groups: Vec<GroupEstimate>,
+    /// The SOA analysis shared by every group.
+    pub analysis: SoaAnalysis,
+    /// Total sampled result tuples.
+    pub result_rows: u64,
+}
+
 /// Run the sampling-free version of `plan` (samples stripped) for ground
 /// truth. Returns the exact aggregate values, in `SELECT`-list order.
 pub fn exact_query(plan: &LogicalPlan, catalog: &Catalog) -> Result<Vec<f64>> {
-    let analysis = rewrite(plan, catalog)?;
-    let rs = execute(&analysis.core, catalog, &ExecOptions::default())?;
-    let row = rs
-        .rows
-        .first()
-        .ok_or_else(|| ExecError::Unsupported("exact plan produced no aggregate row".into()))?;
-    Ok(row
-        .values
-        .iter()
-        .map(|v| v.as_f64().unwrap_or(f64::NAN))
+    let (layout, mut sums) = exact_sums(plan, &[], catalog)?;
+    let dims = sums
+        .remove(&Vec::new())
+        .unwrap_or_else(|| vec![0.0; layout.dims()]);
+    Ok(layout.collapse(&dims))
+}
+
+/// Ground truth per group: drain the sampling-free plan and compute exact
+/// per-group aggregates (values in `SELECT`-list order, keyed by group).
+pub fn exact_group_query(
+    plan: &LogicalPlan,
+    group_by: &[Expr],
+    catalog: &Catalog,
+) -> Result<BTreeMap<Vec<Value>, Vec<f64>>> {
+    let (layout, sums) = exact_sums(plan, group_by, catalog)?;
+    Ok(sums
+        .into_iter()
+        .map(|(key, dims)| (key, layout.collapse(&dims)))
         .collect())
 }
 
+/// Per-group sums of every SBox dimension, keyed by `GROUP BY` values.
+type GroupSums = BTreeMap<Vec<Value>, Vec<f64>>;
+
+/// Drain the stream of `plan`'s sampling-free core and sum every SBox
+/// dimension per `group_by` key (one empty key for a scalar query), in
+/// stream order.
+fn exact_sums(
+    plan: &LogicalPlan,
+    group_by: &[Expr],
+    catalog: &Catalog,
+) -> Result<(DimLayout, GroupSums)> {
+    let core = rewrite(plan, catalog)?.core;
+    let LogicalPlan::Aggregate { aggs, input } = &core else {
+        return Err(ExecError::Unsupported("aggregate plan required".into()));
+    };
+    let opts = ExecOptions {
+        scan_cols: Some(ScanColumnMap::analyze_with(&core, group_by)),
+        ..Default::default()
+    };
+    let mut stream = open_stream(input, catalog, &opts)?;
+    let layout = layout_dims(aggs, stream.schema())?;
+    let dim_eval = layout.compile_batch(stream.schema())?;
+    let keys = group_by
+        .iter()
+        .map(|e| compile(e, stream.schema()))
+        .collect::<sa_expr::Result<Vec<_>>>()?;
+    let mut sums: FpMap<Vec<Value>, Vec<f64>> = FpMap::new();
+    loop {
+        let chunk = stream.next_batch(EXACT_CHUNK_ROWS)?;
+        if chunk.is_empty() {
+            break;
+        }
+        let f = dim_eval.eval(&chunk.batch)?;
+        let key_cols = keys
+            .iter()
+            .map(|k| k.eval_column(&chunk.batch))
+            .collect::<sa_expr::Result<Vec<_>>>()?;
+        for row in 0..chunk.rows() {
+            let key = key_cols.iter().map(|c| c.value(row)).collect();
+            let entry = sums.get_or_insert_with(key, || vec![0.0; f.len()]);
+            for (s, col) in entry.iter_mut().zip(&f) {
+                *s += col[row];
+            }
+        }
+    }
+    Ok((layout, sums.into_sorted().into_iter().collect()))
+}
+
+/// Rows per pull when [`exact_query`] drains a stream.
+const EXACT_CHUNK_ROWS: usize = 1 << 14;
+
+impl DimLayout {
+    /// Collapse summed dimensions into per-aggregate values (the ratio for
+    /// `AVG`; `NaN` over no rows).
+    fn collapse(&self, dims: &[f64]) -> Vec<f64> {
+        self.per_agg
+            .iter()
+            .map(|(num, den)| match den {
+                None => dims[*num],
+                Some(den) => dims[*num] / dims[*den],
+            })
+            .collect()
+    }
+}
+
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use sa_expr::col;
     use sa_sampling::SamplingMethod;
-    use sa_storage::{DataType, Field, Schema, TableBuilder, Value};
+    use sa_storage::{DataType, Field, Schema, TableBuilder};
 
-    /// Catalog: one table `t` with 2000 rows of v = 1.0, and a dimension
-    /// table `d` with 10 rows.
+    /// One table `t`: groups A (1000 × 1.0), B (500 × 2.0), C (100 × 5.0).
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
         let schema = Schema::new(vec![
-            Field::new("k", DataType::Int),
+            Field::new("g", DataType::Str),
             Field::new("v", DataType::Float),
         ])
         .unwrap();
         let mut b = TableBuilder::new("t", schema);
-        for i in 0..2000 {
-            b.push_row(&[Value::Int(i % 10), Value::Float(1.0)])
-                .unwrap();
-        }
-        c.register(b.finish().unwrap()).unwrap();
-        let schema = Schema::new(vec![
-            Field::new("dk", DataType::Int),
-            Field::new("w", DataType::Float),
-        ])
-        .unwrap();
-        let mut b = TableBuilder::new("d", schema);
-        for i in 0..10 {
-            b.push_row(&[Value::Int(i), Value::Float(2.0)]).unwrap();
+        for (g, n, v) in [("A", 1000, 1.0), ("B", 500, 2.0), ("C", 100, 5.0)] {
+            for _ in 0..n {
+                b.push_row(&[Value::str(g), Value::Float(v)]).unwrap();
+            }
         }
         c.register(b.finish().unwrap()).unwrap();
         c
     }
 
-    fn sum_plan(p: f64) -> LogicalPlan {
+    fn plan() -> LogicalPlan {
         LogicalPlan::scan("t")
-            .sample(SamplingMethod::Bernoulli { p })
-            .aggregate(vec![AggSpec::sum(col("v"), "s")])
-    }
-
-    #[test]
-    fn single_table_estimate_near_truth() {
-        let r = approx_query(&sum_plan(0.5), &catalog(), &ApproxOptions::default()).unwrap();
-        let a = &r.aggs[0];
-        // Truth is 2000; B(0.5) estimate has σ = √((1−p)/p·Σf²) = √2000 ≈ 45.
-        assert!(
-            (a.estimate - 2000.0).abs() < 250.0,
-            "estimate {}",
-            a.estimate
-        );
-        let ci = a.ci_normal.unwrap();
-        assert!(ci.width() > 0.0);
-        assert!(a.ci_chebyshev.unwrap().width() > ci.width());
+            .sample(SamplingMethod::Bernoulli { p: 0.1 })
+            .aggregate(vec![
+                AggSpec::sum(col("v"), "s"),
+                AggSpec::count_star("n"),
+                AggSpec::avg(col("v"), "a"),
+            ])
     }
 
     #[test]
     fn exact_query_strips_samples() {
-        let exact = exact_query(&sum_plan(0.1), &catalog()).unwrap();
-        assert_eq!(exact, vec![2000.0]);
+        let exact = exact_query(&plan(), &catalog()).unwrap();
+        assert_eq!(exact, vec![2500.0, 1600.0, 2500.0 / 1600.0]);
     }
 
     #[test]
-    fn count_and_avg() {
-        let plan = LogicalPlan::scan("t")
-            .sample(SamplingMethod::Bernoulli { p: 0.5 })
-            .aggregate(vec![AggSpec::count_star("c"), AggSpec::avg(col("v"), "a")]);
-        let r = approx_query(
-            &plan,
-            &catalog(),
-            &ApproxOptions {
-                seed: 7,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!((r.aggs[0].estimate - 2000.0).abs() < 250.0);
-        // AVG of a constant column is exactly 1 with ~zero variance.
-        assert!((r.aggs[1].estimate - 1.0).abs() < 1e-9);
-        assert!(r.aggs[1].variance.unwrap() < 1e-9);
+    fn exact_group_query_truth() {
+        let exact = exact_group_query(&plan(), &[col("g")], &catalog()).unwrap();
+        assert_eq!(exact[&vec![Value::str("A")]], vec![1000.0, 1000.0, 1.0]);
+        assert_eq!(exact[&vec![Value::str("B")]], vec![1000.0, 500.0, 2.0]);
+        assert_eq!(exact[&vec![Value::str("C")]], vec![500.0, 100.0, 5.0]);
     }
 
     #[test]
-    fn quantile_view_bounds() {
-        let plan = LogicalPlan::scan("t")
-            .sample(SamplingMethod::Bernoulli { p: 0.5 })
+    fn exact_query_over_no_rows() {
+        let empty = LogicalPlan::scan("t")
+            .filter(col("v").gt(sa_expr::lit(10.0)))
             .aggregate(vec![
-                AggSpec::sum(col("v"), "lo").with_quantile(0.05),
-                AggSpec::sum(col("v"), "hi").with_quantile(0.95),
+                AggSpec::sum(col("v"), "s"),
+                AggSpec::avg(col("v"), "a"),
             ]);
-        let r = approx_query(&plan, &catalog(), &ApproxOptions::default()).unwrap();
-        let lo = r.aggs[0].quantile_bound.unwrap();
-        let hi = r.aggs[1].quantile_bound.unwrap();
-        assert!(lo < r.aggs[0].estimate && r.aggs[1].estimate < hi);
+        let exact = exact_query(&empty, &catalog()).unwrap();
+        assert_eq!(exact[0], 0.0);
+        assert!(exact[1].is_nan());
+        assert!(exact_group_query(&empty, &[col("g")], &catalog())
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
-    fn join_query_estimates() {
-        let plan = LogicalPlan::scan("t")
-            .sample(SamplingMethod::Bernoulli { p: 0.5 })
-            .join_on(LogicalPlan::scan("d"), col("k").eq(col("dk")))
-            .aggregate(vec![AggSpec::sum(col("w"), "s")]);
-        let r = approx_query(&plan, &catalog(), &ApproxOptions::default()).unwrap();
-        // Truth: every t row joins one d row, Σw = 2000·2 = 4000.
-        assert!((r.aggs[0].estimate - 4000.0).abs() < 600.0);
-        assert_eq!(r.analysis.schema.n(), 2);
-        assert!(r.aggs[0].variance.unwrap() > 0.0);
-    }
-
-    #[test]
-    fn subsampled_variance_close_to_full() {
-        let plan = sum_plan(0.8);
-        let full = approx_query(&plan, &catalog(), &ApproxOptions::default()).unwrap();
-        let sub = approx_query(
-            &plan,
-            &catalog(),
-            &ApproxOptions {
-                subsample_target: Some(300),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        // Same point estimate (it uses the full result in both cases)…
-        assert!((full.aggs[0].estimate - sub.aggs[0].estimate).abs() < 1e-9);
-        // …and far fewer rows for variance estimation.
-        assert!(sub.variance_rows < full.variance_rows / 2);
-        // Variance agrees within a factor of 3 (it is an estimate of the
-        // same quantity from ~300 tuples).
-        let vf = full.aggs[0].variance.unwrap();
-        let vs = sub.aggs[0].variance.unwrap();
-        assert!(vs > vf / 3.0 && vs < vf * 3.0, "vf={vf}, vs={vs}");
-    }
-
-    #[test]
-    fn non_aggregate_root_rejected() {
-        let plan = LogicalPlan::scan("t");
-        assert!(approx_query(&plan, &catalog(), &ApproxOptions::default()).is_err());
-    }
-
-    #[test]
-    fn unsampled_plan_yields_exact_with_zero_variance() {
-        let plan = LogicalPlan::scan("t").aggregate(vec![AggSpec::sum(col("v"), "s")]);
-        let r = approx_query(&plan, &catalog(), &ApproxOptions::default()).unwrap();
-        assert_eq!(r.aggs[0].estimate, 2000.0);
-        assert!(r.aggs[0].variance.unwrap().abs() < 1e-6);
+    fn batch_dim_eval_matches_the_row_reference() {
+        let c = catalog();
+        let LogicalPlan::Aggregate { aggs, input } = plan() else {
+            unreachable!()
+        };
+        let mut stream = open_stream(&input, &c, &ExecOptions::default()).unwrap();
+        let layout = layout_dims(&aggs, stream.schema()).unwrap();
+        let dim_eval = layout.compile_batch(stream.schema()).unwrap();
+        let chunk = stream.next_batch(300).unwrap();
+        let cols = dim_eval.eval(&chunk.batch).unwrap();
+        for (i, row) in chunk.to_rows().iter().enumerate() {
+            let f = f_vector(&layout, row).unwrap();
+            let batch: Vec<f64> = cols.iter().map(|c| c[i]).collect();
+            assert_eq!(f, batch);
+        }
     }
 }

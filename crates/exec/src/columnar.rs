@@ -5,11 +5,20 @@
 //! paired with one lineage column (`Vec<u64>`) per base relation of the
 //! producing subtree. Operators filter/gather whole chunks; per-row
 //! [`Row`]s are materialized only at the row-level API boundary
-//! ([`ColumnarChunk::to_rows`], which backs [`crate::ChunkStream::next_chunk`]).
+//! ([`ColumnarChunk::to_rows`], which backs [`crate::ChunkStream::next_chunk`]),
+//! which the test suites use as their reference view of a stream.
 
-use sa_storage::{ColumnVec, ColumnarBatch, DataType, Schema, Value};
+use sa_storage::{ColumnarBatch, Value};
 
-use crate::exec::Row;
+/// One result row: its column values and its lineage (one id per base
+/// relation of the subtree that produced it, in scan order).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Row {
+    /// Column values, aligned with the producing node's schema.
+    pub values: Vec<Value>,
+    /// Lineage ids, aligned with the subtree's base relations.
+    pub lineage: Vec<u64>,
+}
 
 /// A chunk of streamed result tuples in columnar form: the value batch and
 /// one lineage id column per base relation (in scan order).
@@ -85,36 +94,24 @@ impl ColumnarChunk {
             .collect()
     }
 
-    /// Convert materialized rows (a blocking sampler's drained subtree, a
-    /// join build side) into one columnar chunk. Column types come from
-    /// `schema`, except where the materialized values disagree with it (a
-    /// `NULL`-typed projection can produce, e.g., booleans under a `Float`
-    /// field — the row executor tolerates that, so this bridge must too);
-    /// such columns take the type of their first non-null value.
-    pub fn from_rows(schema: &Schema, n_rels: usize, rows: &[Row]) -> ColumnarChunk {
-        let columns = (0..schema.fields().len())
-            .map(|c| {
-                let declared = schema.field(c).data_type;
-                let compatible = rows.iter().all(|r| match (&r.values[c], declared) {
-                    (Value::Null, _) => true,
-                    (Value::Int(_), DataType::Int | DataType::Float) => true,
-                    (v, dt) => v.data_type() == Some(dt),
-                });
-                let dtype = if compatible {
-                    declared
-                } else {
-                    rows.iter()
-                        .find_map(|r| r.values[c].data_type())
-                        .unwrap_or(declared)
-                };
-                ColumnVec::from_values(dtype, rows.iter().map(move |r| r.values[c].clone()))
+    /// Vertical concatenation of chunks from one stream, in order (a
+    /// materialized join build side or blocking-sampler input). `parts`
+    /// must not be empty.
+    pub fn concat(mut parts: Vec<ColumnarChunk>) -> ColumnarChunk {
+        if parts.len() == 1 {
+            return parts.pop().expect("one part");
+        }
+        let batches: Vec<&ColumnarBatch> = parts.iter().map(|p| &p.batch).collect();
+        let lineage = (0..parts[0].lineage.len())
+            .map(|rel| {
+                parts
+                    .iter()
+                    .flat_map(|p| p.lineage[rel].iter().copied())
+                    .collect()
             })
             .collect();
-        let lineage = (0..n_rels)
-            .map(|rel| rows.iter().map(|r| r.lineage[rel]).collect())
-            .collect();
         ColumnarChunk {
-            batch: ColumnarBatch::new(columns, rows.len()),
+            batch: ColumnarBatch::concat(&batches),
             lineage,
         }
     }
@@ -123,40 +120,23 @@ impl ColumnarChunk {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sa_storage::Field;
+    use sa_storage::{ColumnData, ColumnVec};
 
     fn chunk() -> ColumnarChunk {
-        let schema = Schema::new(vec![
-            Field::new("k", DataType::Int),
-            Field::new("v", DataType::Float),
-        ])
-        .unwrap();
-        let rows: Vec<Row> = (0..5)
-            .map(|i| Row {
-                values: vec![Value::Int(i), Value::Float(i as f64 * 0.5)],
-                lineage: vec![i as u64, 100 + i as u64],
-            })
-            .collect();
-        ColumnarChunk::from_rows(&schema, 2, &rows)
+        let k = ColumnVec::new(ColumnData::Int((0..5).collect()));
+        let v = ColumnVec::new(ColumnData::Float((0..5).map(|i| i as f64 * 0.5).collect()));
+        ColumnarChunk {
+            batch: ColumnarBatch::new(vec![k, v], 5),
+            lineage: vec![(0..5).collect(), (100..105).collect()],
+        }
     }
 
     #[test]
-    fn row_round_trip() {
-        let c = chunk();
-        let rows = c.to_rows();
+    fn row_view() {
+        let rows = chunk().to_rows();
         assert_eq!(rows.len(), 5);
         assert_eq!(rows[3].values, vec![Value::Int(3), Value::Float(1.5)]);
         assert_eq!(rows[3].lineage, vec![3, 103]);
-        let again = ColumnarChunk::from_rows(
-            &Schema::new(vec![
-                Field::new("k", DataType::Int),
-                Field::new("v", DataType::Float),
-            ])
-            .unwrap(),
-            2,
-            &rows,
-        );
-        assert_eq!(again, c);
     }
 
     #[test]
@@ -174,22 +154,9 @@ mod tests {
     }
 
     #[test]
-    fn from_rows_tolerates_schema_value_mismatch() {
-        // A NULL-typed projection defaults to a Float field but can produce
-        // booleans at runtime; the bridge must not panic.
-        let schema = Schema::new(vec![Field::new("x", DataType::Float)]).unwrap();
-        let rows = vec![
-            Row {
-                values: vec![Value::Bool(false)],
-                lineage: vec![0],
-            },
-            Row {
-                values: vec![Value::Null],
-                lineage: vec![1],
-            },
-        ];
-        let c = ColumnarChunk::from_rows(&schema, 1, &rows);
-        assert_eq!(c.to_rows()[0].values[0], Value::Bool(false));
-        assert!(c.to_rows()[1].values[0].is_null());
+    fn concat_restores_the_sliced_chunk() {
+        let c = chunk();
+        let parts = vec![c.slice(0, 2), c.slice(2, 0), c.slice(2, 3)];
+        assert_eq!(ColumnarChunk::concat(parts), c);
     }
 }

@@ -1,13 +1,12 @@
-//! Chunked, pull-based plan execution — the feed of the online driver.
+//! Chunked, pull-based plan execution — the one executor.
 //!
-//! [`crate::execute`] materializes every operator's full output, which is
-//! fine for one-shot estimation but useless for *online aggregation*: there
-//! the consumer wants the first tuples of the sampled result immediately,
-//! an estimate after every chunk, and the right to stop early. This module
-//! provides exactly that: [`open_stream`] compiles a (non-aggregate) plan
-//! into a small Volcano-style operator tree that yields result tuples a
-//! chunk at a time — with full per-base-relation lineage, identical in
-//! content to what the batch executor would produce.
+//! [`open_stream`] compiles a (non-aggregate) plan into a small
+//! Volcano-style operator tree that yields result tuples a chunk at a time,
+//! with full per-base-relation lineage (Section 6.2 of the paper: the SBox
+//! needs only lineage ids and aggregate values). Online aggregation pulls
+//! it chunk by chunk and may stop early; the one-shot batch estimator and
+//! the exact answers ([`crate::exact_query`]) drain the same stream to the
+//! end.
 //!
 //! ## Columnar batches
 //!
@@ -31,18 +30,21 @@
 //! * a join materializes its **build** (right) side at open and streams the
 //!   probe side through it — the classic streaming hash join;
 //! * fixed-size samplers (`WOR`, with-replacement) are blocking by nature
-//!   (they must see their whole input's cardinality), so their subtree is
-//!   materialized at open and drained in chunks.
+//!   (they must see their whole input's cardinality), so their input is
+//!   materialized at open, the kept positions are drawn by
+//!   [`SamplingMethod::sample_positions`], and the sample is drained in
+//!   chunks.
+//!
+//! A materialized side is itself a drained one-part sub-stream: the same
+//! operators, pushdown and compiled expressions, in physical scan order.
 //!
 //! Randomness: every stochastic operator draws its own RNG seed from a
 //! master RNG seeded with [`crate::ExecOptions::seed`] during `open`, in
 //! plan traversal order — and per-row samplers draw **one coin per input
 //! row in row order** — so a given `(plan, seed)` pair always streams the
-//! *same* sample realization, chunk-size independent and identical to what
-//! the row-at-a-time stream realized before batching. (The realization
-//! differs from [`crate::execute`]'s for the same seed: the batch executor
-//! interleaves all operators' draws on one RNG stream, which a pull-based
-//! pipeline cannot reproduce.)
+//! *same* sample realization, chunk-size independent. A materialized side
+//! takes one master draw and seeds its sub-stream (and, for a blocking
+//! sampler, the position draw after it) from that one value.
 
 use std::collections::HashSet;
 use std::hash::Hasher;
@@ -52,18 +54,20 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use sa_core::hash::{FxHashMap, FxHasher};
-use sa_expr::{bind, compile, CompiledExpr};
+use sa_expr::{bind, compile, BinOp, CompiledExpr, Expr};
 use sa_plan::{LogicalPlan, ScanColumnMap};
 use sa_sampling::SamplingMethod;
 use sa_storage::{Catalog, ColumnVec, ColumnarBatch, Schema, SchemaRef, Table};
 
-use crate::columnar::ColumnarChunk;
+use crate::columnar::{ColumnarChunk, Row};
 use crate::error::ExecError;
-use crate::exec::{
-    base_table, exec_node, scan_schema, split_join_condition, ExecOptions, Row, ScanObs,
-};
+use crate::options::{ExecOptions, ScanObs};
 use crate::shared::{SharedScanCursor, SharedTableScan};
 use crate::Result;
+
+/// Rows per pull when a join build side or a blocking sampler's input is
+/// drained into one chunk at open.
+const MATERIALIZE_ROWS: usize = 1 << 16;
 
 /// A chunked executor over a (non-aggregate) plan. Obtained from
 /// [`open_stream`]; columnar chunks come out of [`ChunkStream::next_batch`]
@@ -419,6 +423,7 @@ impl ProgressTree {
 /// Build-time context threaded through [`build_partitioned`]: the catalog,
 /// the partitioning shape, and the pushdown configuration derived from
 /// [`ExecOptions`] and the plan's needed-column analysis.
+#[derive(Clone)]
 struct BuildCtx<'a> {
     catalog: &'a Catalog,
     parts: usize,
@@ -892,13 +897,18 @@ fn build_partitioned(
                 }
                 SamplingMethod::Wor { .. } | SamplingMethod::WithReplacement { .. } => {
                     // Blocking samplers need their input's full cardinality
-                    // up front: materialized once via the batch executor
-                    // (the same draw at any `parts`), sample rows sliced
+                    // up front: the input is materialized once (the same
+                    // draw at any `parts`) and the kept positions drawn
+                    // from the same RNG; sample rows are sliced
                     // contiguously across workers.
                     let mut rng = StdRng::seed_from_u64(master.random::<u64>());
-                    let rs = exec_node(plan, ctx.catalog, &mut rng)?;
-                    let n_rels = rs.relations.len();
-                    let chunk = ColumnarChunk::from_rows(&rs.schema, n_rels, &rs.rows);
+                    let (input, schema, relations) = materialize(input, ctx, &mut rng)?;
+                    let positions: Vec<u32> = method
+                        .sample_positions(input.rows() as u64, &mut rng)?
+                        .into_iter()
+                        .map(|p| p as u32)
+                        .collect();
+                    let chunk = input.take(&positions);
                     let len = chunk.rows();
                     let nodes = if parts == 1 {
                         vec![Node::Materialized { chunk, next: 0 }]
@@ -914,7 +924,7 @@ fn build_partitioned(
                             })
                             .collect()
                     };
-                    Ok((nodes, rs.schema, rs.relations))
+                    Ok((nodes, schema, relations))
                 }
             }
         }
@@ -1037,17 +1047,16 @@ fn build_partitioned(
             // re-drawing it per worker would join each probe slice against
             // a different sample of the right input.
             let mut rng = StdRng::seed_from_u64(master.random::<u64>());
-            let r = exec_node(right, ctx.catalog, &mut rng)?;
-            let schema = Arc::new(l_schema.join(&r.schema)?);
+            let (build_chunk, r_schema, r_rels) = materialize(right, ctx, &mut rng)?;
+            let schema = Arc::new(l_schema.join(&r_schema)?);
             let mut relations = l_rels;
-            relations.extend(r.relations.iter().cloned());
+            relations.extend(r_rels.iter().cloned());
             let (keys, residual) = match condition {
                 None => (vec![], None),
-                Some(c) => split_join_condition(c, &l_schema, &r.schema)?,
+                Some(c) => split_join_condition(c, &l_schema, &r_schema)?,
             };
             let residual = residual.map(|e| compile(&e, &schema)).transpose()?;
-            let build_chunk = ColumnarChunk::from_rows(&r.schema, r.relations.len(), &r.rows);
-            let build = Arc::new(JoinBuild::new(build_chunk, r.relations.len(), keys));
+            let build = Arc::new(JoinBuild::new(build_chunk, r_rels.len(), keys));
             let nodes = probes
                 .into_iter()
                 .map(|probe| build.clone().node(probe, residual.clone()))
@@ -1083,6 +1092,104 @@ fn build_partitioned(
                 .into(),
         )),
     }
+}
+
+/// Drain `plan` into one columnar chunk at open — a join's build side or a
+/// blocking sampler's input. The sub-stream is a single unshuffled part in
+/// physical scan order (a fixed-size sampler keeps positions of this
+/// order); its stochastic operators draw their seeds from `rng`, the one
+/// master draw the blocking operator made, so the materialization is the
+/// same at any `parts`.
+fn materialize(
+    plan: &LogicalPlan,
+    ctx: &BuildCtx<'_>,
+    rng: &mut StdRng,
+) -> Result<(ColumnarChunk, SchemaRef, Vec<String>)> {
+    let sub = BuildCtx {
+        parts: 1,
+        shuffle: false,
+        ..ctx.clone()
+    };
+    let (mut roots, schema, relations) = build_partitioned(plan, &sub, rng)?;
+    let mut root = roots.pop().expect("one partition yields one stream");
+    // The first pull is kept even when empty: it carries the column layout.
+    let mut chunks = vec![root.next_batch(MATERIALIZE_ROWS)?];
+    while !chunks[chunks.len() - 1].is_empty() {
+        let chunk = root.next_batch(MATERIALIZE_ROWS)?;
+        if chunk.is_empty() {
+            break;
+        }
+        chunks.push(chunk);
+    }
+    Ok((ColumnarChunk::concat(chunks), schema, relations))
+}
+
+/// A scan's table and its output schema, qualified by `alias` when the
+/// alias differs from the table name.
+fn scan_schema(catalog: &Catalog, table: &str, alias: &str) -> Result<(Arc<Table>, SchemaRef)> {
+    let t = catalog.get(table)?;
+    let schema = if alias == table {
+        t.schema().clone()
+    } else {
+        Arc::new(t.schema().qualify_all(alias))
+    };
+    Ok((t, schema))
+}
+
+/// The base table under a Sample*/Scan chain (`SYSTEM` sampling needs its
+/// block structure).
+fn base_table(mut node: &LogicalPlan, catalog: &Catalog) -> Result<Arc<Table>> {
+    loop {
+        match node {
+            LogicalPlan::Scan { table, .. } => return Ok(catalog.get(table)?),
+            LogicalPlan::Sample { input, .. } => node = input,
+            other => {
+                return Err(ExecError::Unsupported(format!(
+                    "sample over non-base relation {}",
+                    other.node_label()
+                )))
+            }
+        }
+    }
+}
+
+/// Equi-key column index pairs of a hash join: `(left index, right index)`.
+type EquiKeys = Vec<(usize, usize)>;
+
+/// Extract `(left index, right index)` equi-key pairs from a conjunctive
+/// join condition; everything else becomes the residual predicate.
+fn split_join_condition(
+    condition: &Expr,
+    left: &Schema,
+    right: &Schema,
+) -> Result<(EquiKeys, Option<Expr>)> {
+    let mut keys = Vec::new();
+    let mut residual = Vec::new();
+    for conjunct in condition.split_conjuncts() {
+        if let Expr::Binary {
+            op: BinOp::Eq,
+            left: a,
+            right: b,
+        } = conjunct
+        {
+            if let (Expr::Column(ca), Expr::Column(cb)) = (a.as_ref(), b.as_ref()) {
+                if let (Ok(li), Ok(ri)) = (left.index_of(ca), right.index_of(cb)) {
+                    keys.push((li, ri));
+                    continue;
+                }
+                if let (Ok(li), Ok(ri)) = (left.index_of(cb), right.index_of(ca)) {
+                    keys.push((li, ri));
+                    continue;
+                }
+            }
+        }
+        // Literal TRUE residuals are dropped.
+        if *conjunct != sa_expr::lit(true) {
+            residual.push(conjunct.clone());
+        }
+    }
+    let residual = (!residual.is_empty()).then(|| Expr::conjoin(residual));
+    Ok((keys, residual))
 }
 
 impl Node {
@@ -1564,12 +1671,12 @@ impl Node {
 struct JoinBuild {
     chunk: ColumnarChunk,
     n_rels: usize,
-    keys: crate::exec::EquiKeys,
+    keys: EquiKeys,
     table: FxHashMap<u64, Vec<u32>>,
 }
 
 impl JoinBuild {
-    fn new(chunk: ColumnarChunk, n_rels: usize, keys: crate::exec::EquiKeys) -> Self {
+    fn new(chunk: ColumnarChunk, n_rels: usize, keys: EquiKeys) -> Self {
         let mut table: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
         if !keys.is_empty() {
             let key_cols: Vec<&ColumnVec> =
@@ -1619,9 +1726,90 @@ impl JoinBuild {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::execute;
-    use sa_expr::{col, lit};
+    use sa_expr::{col, eval, eval_predicate, lit};
     use sa_storage::{DataType, Field, TableBuilder, Value};
+
+    /// The test-only reference executor the stream is checked against:
+    /// unsampled scan, filter, project and nested-loop join, one row at a
+    /// time over [`Table::row`] and the [`sa_expr::eval`] interpreter.
+    /// Returns the output schema, lineage relations and rows, in the
+    /// stream's order (probe rows in scan order, each with its matching
+    /// build rows in build order).
+    fn reference(plan: &LogicalPlan, catalog: &Catalog) -> (SchemaRef, Vec<String>, Vec<Row>) {
+        match plan {
+            LogicalPlan::Scan { table, alias } => {
+                let (t, schema) = scan_schema(catalog, table, alias).unwrap();
+                let rows = (0..t.row_count())
+                    .map(|rid| Row {
+                        values: t.row(rid).unwrap(),
+                        lineage: vec![rid],
+                    })
+                    .collect();
+                (schema, vec![alias.clone()], rows)
+            }
+            LogicalPlan::Filter { predicate, input } => {
+                let (schema, rels, rows) = reference(input, catalog);
+                let p = bind(predicate, &schema).unwrap();
+                let rows = rows
+                    .into_iter()
+                    .filter(|r| eval_predicate(&p, &r.values).unwrap())
+                    .collect();
+                (schema, rels, rows)
+            }
+            LogicalPlan::Project { exprs, input } => {
+                let (schema, rels, rows) = reference(input, catalog);
+                let bound: Vec<Expr> = exprs
+                    .iter()
+                    .map(|(e, _)| bind(e, &schema).unwrap())
+                    .collect();
+                let fields = exprs
+                    .iter()
+                    .zip(&bound)
+                    .map(|((_, name), e)| {
+                        let dt = sa_expr::data_type(e, &schema).unwrap();
+                        Field::new(name, dt.unwrap_or(DataType::Float))
+                    })
+                    .collect();
+                let rows = rows
+                    .into_iter()
+                    .map(|r| Row {
+                        values: bound.iter().map(|e| eval(e, &r.values).unwrap()).collect(),
+                        lineage: r.lineage,
+                    })
+                    .collect();
+                (Arc::new(Schema::new(fields).unwrap()), rels, rows)
+            }
+            LogicalPlan::Join {
+                condition,
+                left,
+                right,
+            } => {
+                let (ls, mut rels, lrows) = reference(left, catalog);
+                let (rs, rrels, rrows) = reference(right, catalog);
+                let schema = Arc::new(ls.join(&rs).unwrap());
+                rels.extend(rrels);
+                let cond = condition.as_ref().map(|c| bind(c, &schema).unwrap());
+                let mut rows = Vec::new();
+                for l in &lrows {
+                    for r in &rrows {
+                        let mut values = l.values.clone();
+                        values.extend(r.values.iter().cloned());
+                        if cond
+                            .as_ref()
+                            .is_some_and(|c| !eval_predicate(c, &values).unwrap())
+                        {
+                            continue;
+                        }
+                        let mut lineage = l.lineage.clone();
+                        lineage.extend(&r.lineage);
+                        rows.push(Row { values, lineage });
+                    }
+                }
+                (schema, rels, rows)
+            }
+            other => panic!("the reference executor runs no {}", other.node_label()),
+        }
+    }
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -1650,16 +1838,16 @@ mod tests {
         c
     }
 
-    /// The streamed rows of an unsampled plan must equal the batch
+    /// The streamed rows of an unsampled plan must equal the reference
     /// executor's, in order, for any chunk hint.
     fn assert_stream_matches_batch(plan: &LogicalPlan, hint: usize) {
         let c = catalog();
-        let batch = execute(plan, &c, &ExecOptions::default()).unwrap();
+        let (schema, relations, rows) = reference(plan, &c);
         let stream = open_stream(plan, &c, &ExecOptions::default()).unwrap();
-        assert_eq!(stream.schema().as_ref(), batch.schema.as_ref());
-        assert_eq!(stream.relations(), &batch.relations[..]);
-        let rows = stream.collect_rows(hint).unwrap();
-        assert_eq!(rows, batch.rows, "hint={hint}");
+        assert_eq!(stream.schema().as_ref(), schema.as_ref());
+        assert_eq!(stream.relations(), &relations[..]);
+        let streamed = stream.collect_rows(hint).unwrap();
+        assert_eq!(streamed, rows, "hint={hint}");
     }
 
     #[test]
@@ -1769,6 +1957,33 @@ mod tests {
         assert_eq!(rows.len(), 40);
         let distinct: HashSet<u64> = rows.iter().map(|r| r.lineage[0]).collect();
         assert_eq!(distinct.len(), 40);
+    }
+
+    #[test]
+    fn with_replacement_sample_repeats_input_rows() {
+        // 300 draws from the 10-row table must repeat rows, and every
+        // drawn row is an input row with its own lineage.
+        let plan = LogicalPlan::scan("d").sample(SamplingMethod::WithReplacement { size: 300 });
+        let c = catalog();
+        let opts = ExecOptions {
+            seed: 1,
+            ..Default::default()
+        };
+        let rows = open_stream(&plan, &c, &opts)
+            .unwrap()
+            .collect_rows(64)
+            .unwrap();
+        assert_eq!(rows.len(), 300);
+        let (_, _, input) = reference(&LogicalPlan::scan("d"), &c);
+        for row in &rows {
+            assert_eq!(row, &input[row.lineage[0] as usize]);
+        }
+        let distinct: HashSet<u64> = rows.iter().map(|r| r.lineage[0]).collect();
+        assert!(distinct.len() <= 10);
+        let empty = LogicalPlan::scan("d")
+            .filter(col("w").lt(lit(0.0)))
+            .sample(SamplingMethod::WithReplacement { size: 3 });
+        assert!(open_stream(&empty, &c, &opts).is_err());
     }
 
     #[test]
@@ -2204,9 +2419,9 @@ mod tests {
     }
 
     #[test]
-    fn nan_join_keys_match_like_the_batch_executor() {
-        // Value::total_cmp says NaN == NaN, and the batch executor's
-        // Value-keyed hash join honours that — the fingerprint join must
+    fn nan_join_keys_match_like_the_reference_executor() {
+        // Value::total_cmp says NaN == NaN, and the interpreter's join
+        // predicate honours that — the fingerprint join must
         // too (hash_cell already hashes every NaN identically; cell_eq
         // must agree).
         let mut c = Catalog::new();
@@ -2231,13 +2446,32 @@ mod tests {
         }
         c.register(b.finish().unwrap()).unwrap();
         let plan = LogicalPlan::scan("l").join_on(LogicalPlan::scan("r"), col("k").eq(col("rk")));
-        let batch = execute(&plan, &c, &ExecOptions::default()).unwrap();
+        let (_, _, batch) = reference(&plan, &c);
         let rows = open_stream(&plan, &c, &ExecOptions::default())
             .unwrap()
             .collect_rows(8)
             .unwrap();
         assert_eq!(rows.len(), 3, "two NaN matches + the 2.0 match");
-        assert_eq!(rows, batch.rows);
+        assert_eq!(rows, batch);
+    }
+
+    #[test]
+    fn null_join_keys_never_match() {
+        let mut c = catalog();
+        let schema = Schema::new(vec![Field::new("k3", DataType::Int)]).unwrap();
+        let mut b = TableBuilder::new("n", schema);
+        for v in [Value::Null, Value::Int(1), Value::Null] {
+            b.push_row(&[v]).unwrap();
+        }
+        c.register(b.finish().unwrap()).unwrap();
+        let plan = LogicalPlan::scan("n").join_on(LogicalPlan::scan("d"), col("k3").eq(col("dk")));
+        let (_, _, batch) = reference(&plan, &c);
+        let rows = open_stream(&plan, &c, &ExecOptions::default())
+            .unwrap()
+            .collect_rows(2)
+            .unwrap();
+        assert_eq!(rows.len(), 1, "only k3 = 1 matches");
+        assert_eq!(rows, batch);
     }
 
     #[test]
@@ -2333,12 +2567,12 @@ mod tests {
         }
         c.register(b.finish().unwrap()).unwrap();
         let plan = LogicalPlan::scan("t").join_on(LogicalPlan::scan("f"), col("k").eq(col("fk")));
-        let batch = execute(&plan, &c, &ExecOptions::default()).unwrap();
+        let (_, _, batch) = reference(&plan, &c);
         let rows = open_stream(&plan, &c, &ExecOptions::default())
             .unwrap()
             .collect_rows(64)
             .unwrap();
-        assert_eq!(rows, batch.rows);
+        assert_eq!(rows, batch);
         assert_eq!(rows.len(), 200, "every t row matches exactly one f row");
     }
 

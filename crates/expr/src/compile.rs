@@ -1427,13 +1427,12 @@ mod tests {
                 Value::Bool(true),
             ],
         ];
-        let s = schema();
-        let cols = (0..4)
-            .map(|c| {
-                ColumnVec::from_values(s.field(c).data_type, rows.iter().map(move |r| r[c].clone()))
-            })
-            .collect();
-        (ColumnarBatch::new(cols, rows.len()), rows)
+        let mut b = sa_storage::TableBuilder::new("t", schema());
+        for row in &rows {
+            b.push_row(row).unwrap();
+        }
+        let table = b.finish().unwrap();
+        (table.batch_range(0, rows.len() as u64).unwrap(), rows)
     }
 
     /// The compiled column result at each row must equal the interpreter.

@@ -1,13 +1,9 @@
-//! The unified options and result surface of the Engine/Session API.
+//! The options and result surface of the Engine/Session API.
 //!
-//! Historically every entry point had its own options struct and result
-//! shape: `OnlineOptions` for scalar online runs, `GroupedOnlineOptions`
-//! (which duplicated every scalar field behind an `.online` member) for
-//! grouped runs, and `ApproxOptions` for the batch drivers. [`QueryOptions`]
-//! collapses the online pair into one flat struct — scalar vs. grouped is
-//! decided by the query (its `GROUP BY` list), not by which options type
-//! the caller picked — and [`Snapshot`] / [`QueryResult`] make the result
-//! shape a variant rather than a separate entry point.
+//! [`QueryOptions`] is one flat option set for every terminal — scalar vs.
+//! grouped is decided by the query (its `GROUP BY` list), not by an options
+//! type — and [`Snapshot`] / [`QueryResult`] / [`BatchOutput`] make the
+//! result shape a variant rather than a separate entry point.
 
 use std::time::Duration;
 
@@ -15,16 +11,10 @@ use sa_core::GusParams;
 use sa_exec::{ApproxResult, GroupedApproxResult};
 use sa_plan::{SoaAnalysis, StopReason, StoppingRule};
 
-#[allow(deprecated)]
-use crate::driver::OnlineOptions;
 use crate::driver::{OnlineResult, ProgressSnapshot};
-#[allow(deprecated)]
-use crate::grouped::GroupedOnlineOptions;
 use crate::grouped::{GroupedOnlineResult, GroupedProgressSnapshot};
 
-/// Options for one query run through the [`crate::Engine`] — the unified
-/// successor of `OnlineOptions` and `GroupedOnlineOptions` (grouped runs no
-/// longer nest the scalar options behind an `.online` member; the grouped
+/// Options for one query run through the [`crate::Engine`] (the grouped
 /// `ci_top_k` policy is a flat field that scalar runs simply ignore).
 #[derive(Debug, Clone)]
 pub struct QueryOptions {
@@ -86,6 +76,11 @@ pub struct QueryOptions {
     /// *imposes*; both can be set and the deadline always wins. `None`
     /// (default): no deadline.
     pub deadline: Option<Duration>,
+    /// Scalar [`crate::QueryBuilder::batch`] runs only: estimate the `Ŷ_S`
+    /// variance terms from a lineage-hash sub-sample of roughly this many
+    /// result tuples (the paper's Section 7); the point estimate still
+    /// uses the full sample. `None` (default): every tuple.
+    pub subsample_target: Option<u64>,
 }
 
 impl Default for QueryOptions {
@@ -102,35 +97,7 @@ impl Default for QueryOptions {
             ci_top_k: None,
             disable_pushdown: false,
             deadline: None,
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl From<&OnlineOptions> for QueryOptions {
-    fn from(o: &OnlineOptions) -> Self {
-        QueryOptions {
-            seed: o.seed,
-            chunk_rows: o.chunk_rows,
-            confidence: o.confidence,
-            rule: o.rule.clone(),
-            scale_to_population: o.scale_to_population,
-            parallelism: o.parallelism,
-            adaptive_chunks: o.adaptive_chunks,
-            shuffle_scan: false,
-            ci_top_k: None,
-            disable_pushdown: false,
-            deadline: None,
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl From<&GroupedOnlineOptions> for QueryOptions {
-    fn from(o: &GroupedOnlineOptions) -> Self {
-        QueryOptions {
-            ci_top_k: o.ci_top_k,
-            ..QueryOptions::from(&o.online)
+            subsample_target: None,
         }
     }
 }
@@ -282,67 +249,5 @@ impl BatchOutput {
             BatchOutput::Scalar(_) => None,
             BatchOutput::Grouped(r) => Some(r),
         }
-    }
-}
-
-#[cfg(test)]
-#[allow(deprecated)]
-mod tests {
-    use super::*;
-
-    /// The satellite regression: the unified defaults must match the old
-    /// option structs field-for-field, so migrating a caller from
-    /// `OnlineOptions::default()` / `GroupedOnlineOptions::default()` to
-    /// `QueryOptions::default()` cannot change any run's semantics.
-    #[test]
-    fn defaults_match_the_old_option_structs_field_for_field() {
-        let new = QueryOptions::default();
-        let old = OnlineOptions::default();
-        assert_eq!(new.seed, old.seed);
-        assert_eq!(new.chunk_rows, old.chunk_rows);
-        assert_eq!(new.confidence, old.confidence);
-        assert_eq!(new.rule, old.rule);
-        assert_eq!(new.scale_to_population, old.scale_to_population);
-        assert_eq!(new.parallelism, old.parallelism);
-        assert_eq!(new.adaptive_chunks, old.adaptive_chunks);
-        let grouped = GroupedOnlineOptions::default();
-        assert_eq!(new.ci_top_k, grouped.ci_top_k);
-        // And the grouped struct's nested defaults were identical to the
-        // scalar ones (the duplication QueryOptions collapses).
-        assert_eq!(grouped.online.seed, old.seed);
-        assert_eq!(grouped.online.chunk_rows, old.chunk_rows);
-        assert_eq!(grouped.online.confidence, old.confidence);
-        assert_eq!(grouped.online.rule, old.rule);
-        assert_eq!(grouped.online.scale_to_population, old.scale_to_population);
-        assert_eq!(grouped.online.parallelism, old.parallelism);
-        assert_eq!(grouped.online.adaptive_chunks, old.adaptive_chunks);
-    }
-
-    #[test]
-    fn conversions_carry_every_field() {
-        let old = OnlineOptions {
-            seed: 7,
-            chunk_rows: 99,
-            confidence: 0.9,
-            rule: StoppingRule::rows(123),
-            scale_to_population: false,
-            parallelism: 3,
-            adaptive_chunks: true,
-        };
-        let q = QueryOptions::from(&old);
-        assert_eq!(q.seed, 7);
-        assert_eq!(q.chunk_rows, 99);
-        assert_eq!(q.confidence, 0.9);
-        assert_eq!(q.rule, StoppingRule::rows(123));
-        assert!(!q.scale_to_population);
-        assert_eq!(q.parallelism, 3);
-        assert!(q.adaptive_chunks);
-        assert_eq!(q.ci_top_k, None);
-        let g = GroupedOnlineOptions {
-            online: old,
-            ci_top_k: Some(5),
-        };
-        assert_eq!(QueryOptions::from(&g).ci_top_k, Some(5));
-        assert_eq!(QueryOptions::from(&g).seed, 7);
     }
 }

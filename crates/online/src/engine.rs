@@ -47,9 +47,7 @@ use std::time::{Duration, Instant};
 
 use sa_core::hash::splitmix64;
 use sa_exec::shared::{DEFAULT_BUS_ROWS, DEFAULT_MAX_LAG_ROWS};
-use sa_exec::{
-    shared_scan_needs, shared_scan_table, ApproxOptions, ScanObs, SharedScanStats, SharedTableScan,
-};
+use sa_exec::{shared_scan_needs, shared_scan_table, ScanObs, SharedScanStats, SharedTableScan};
 use sa_expr::Expr;
 use sa_obs::{Counter, EventKind, Gauge, Histogram, MetricsSnapshot, Registry};
 use sa_plan::{LogicalPlan, StopReason};
@@ -57,6 +55,7 @@ use sa_sql::plan_online_grouped_sql;
 use sa_storage::Catalog;
 
 use crate::api::{BatchOutput, QueryOptions, QueryResult, Snapshot};
+use crate::batch::drive_batch;
 use crate::driver::{drive_scalar, RunCtx};
 use crate::error::Error;
 use crate::grouped::drive_grouped;
@@ -633,8 +632,7 @@ enum QueryInput {
     Plan(LogicalPlan),
 }
 
-/// One fluent surface for configuring and running a query — the successor
-/// of the six `run_online*`/`approx_*` free functions.
+/// One fluent surface for configuring and running a query.
 pub struct QueryBuilder {
     engine: Engine,
     session: u64,
@@ -813,26 +811,42 @@ impl QueryBuilder {
         })
     }
 
+    /// Section 7 variance sub-sampling for scalar [`QueryBuilder::batch`]
+    /// runs: estimate the `Ŷ_S` terms from about `rows` result tuples (see
+    /// [`QueryOptions::subsample_target`]).
+    pub fn subsample(mut self, rows: u64) -> QueryBuilder {
+        self.opts.subsample_target = Some(rows);
+        self
+    }
+
     /// Run the paper's one-shot batch estimator over the full sample — no
     /// snapshots, no stopping rule, just the final estimates with
-    /// intervals.
+    /// intervals. It drains the very stream(s) [`QueryBuilder::run`] opens
+    /// (same options, validation, shared scan and workers), so for one seed
+    /// it reads the same sample `run()` reads to exhaustion.
     pub fn batch(self) -> Result<BatchOutput> {
         let _guard = self.engine.admit(self.session)?;
-        self.engine.inner.obs.batch_queries.inc();
-        let (plan, group_by, opts) = resolve(&self.engine, self.input, self.group_by, self.opts)?;
-        let approx = ApproxOptions {
-            seed: opts.seed,
-            confidence: opts.rule.confidence_or(opts.confidence),
-            subsample_target: None,
-        };
-        let catalog = self.engine.catalog();
-        #[allow(deprecated)]
-        if group_by.is_empty() {
-            let r = sa_exec::approx_query(&plan, catalog, &approx)?;
-            Ok(BatchOutput::Scalar(r))
-        } else {
-            let r = sa_exec::approx_group_query(&plan, &group_by, catalog, &approx)?;
-            Ok(BatchOutput::Grouped(r))
+        let obs = &self.engine.inner.obs;
+        obs.batch_queries.inc();
+        let result = resolve(&self.engine, self.input, self.group_by, self.opts).and_then(
+            |(plan, group_by, opts)| {
+                let ctx = RunCtx {
+                    shared: self.engine.shared_hub(&plan, &group_by, &opts)?,
+                    scan_obs: obs.scan.clone(),
+                    ..RunCtx::default()
+                };
+                drive_batch(&plan, &group_by, self.engine.catalog(), &opts, &ctx)
+            },
+        );
+        match result {
+            Ok((out, rows)) => {
+                obs.rows_consumed.add(rows);
+                Ok(out)
+            }
+            Err(e) => {
+                obs.query_errors.inc();
+                Err(e)
+            }
         }
     }
 }
@@ -1055,35 +1069,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_query_matches_the_deprecated_driver() {
-        let c = catalog(4000);
-        let engine = Engine::new(catalog(4000));
-        let r = engine
-            .session()
-            .query_plan(&sum_plan(0.4))
-            .seed(9)
-            .chunk_rows(128)
-            .run()
-            .unwrap();
-        assert_eq!(r.reason, StopReason::Exhausted);
-        #[allow(deprecated)]
-        let old = crate::driver::run_online(
-            &sum_plan(0.4),
-            &c,
-            &crate::driver::OnlineOptions {
-                seed: 9,
-                chunk_rows: 128,
-                ..Default::default()
-            },
-            |_| {},
-        )
-        .unwrap();
-        let new = &r.snapshot.as_scalar().unwrap().aggs[0];
-        assert_eq!(new.estimate, old.snapshot.aggs[0].estimate);
-        assert_eq!(new.variance, old.snapshot.aggs[0].variance);
-    }
-
-    #[test]
     fn sql_group_by_becomes_a_grouped_snapshot() {
         let engine = Engine::new(catalog(4000));
         let r = engine
@@ -1211,6 +1196,131 @@ mod tests {
             .batch()
             .unwrap();
         assert_eq!(out.as_grouped().expect("grouped batch").groups.len(), 10);
+    }
+
+    #[test]
+    fn batch_validates_options_exactly_like_run() {
+        let engine = Engine::new(catalog(100));
+        let q = || engine.session().query_plan(&sum_plan(0.5));
+        for (batch, run) in [
+            (
+                q().jobs(0).batch().map(|_| ()),
+                q().jobs(0).run().map(|_| ()),
+            ),
+            (
+                q().chunk_rows(0).batch().map(|_| ()),
+                q().chunk_rows(0).run().map(|_| ()),
+            ),
+        ] {
+            let (batch, run) = (batch.unwrap_err(), run.unwrap_err());
+            assert!(matches!(batch, Error::InvalidOptions(_)), "{batch}");
+            assert_eq!(batch.to_string(), run.to_string());
+        }
+    }
+
+    fn scalar_batch(q: QueryBuilder) -> sa_exec::ApproxResult {
+        q.batch()
+            .unwrap()
+            .as_scalar()
+            .expect("scalar batch")
+            .clone()
+    }
+
+    #[test]
+    fn batch_count_avg_and_quantile_views() {
+        let engine = Engine::new(catalog(2000));
+        let plan = LogicalPlan::scan("t")
+            .sample(SamplingMethod::Bernoulli { p: 0.5 })
+            .aggregate(vec![
+                AggSpec::count_star("c"),
+                AggSpec::avg(col("v"), "a"),
+                AggSpec::sum(col("v"), "lo").with_quantile(0.05),
+                AggSpec::sum(col("v"), "hi").with_quantile(0.95),
+            ]);
+        let r = scalar_batch(engine.session().query_plan(&plan).seed(7));
+        assert!((r.aggs[0].estimate - 2000.0).abs() < 250.0);
+        // v cycles 1..=7: the delta-method AVG targets 4.0.
+        assert!(
+            (r.aggs[1].estimate - 4.0).abs() < 0.3,
+            "{}",
+            r.aggs[1].estimate
+        );
+        assert!(r.aggs[1].variance.unwrap() > 0.0);
+        let (lo, hi) = (&r.aggs[2], &r.aggs[3]);
+        assert!(lo.quantile_bound.unwrap() < lo.estimate);
+        assert!(hi.estimate < hi.quantile_bound.unwrap());
+        let ci = r.aggs[0].ci_normal.unwrap();
+        assert!(ci.width() > 0.0 && r.aggs[0].ci_chebyshev.unwrap().width() > ci.width());
+    }
+
+    #[test]
+    fn batch_of_an_unsampled_plan_is_exact_with_zero_variance() {
+        let engine = Engine::new(catalog(2000));
+        let plan = LogicalPlan::scan("t").aggregate(vec![AggSpec::sum(col("v"), "s")]);
+        let r = scalar_batch(engine.session().query_plan(&plan));
+        let truth: f64 = (0..2000).map(|i| 1.0 + (i % 7) as f64).sum();
+        assert_eq!(r.aggs[0].estimate, truth);
+        assert!(r.aggs[0].variance.unwrap().abs() < 1e-6);
+        let err = engine
+            .session()
+            .query_plan(&LogicalPlan::scan("t"))
+            .batch()
+            .unwrap_err();
+        assert!(matches!(err, Error::Unsupported(_)), "{err}");
+    }
+
+    #[test]
+    fn subsampled_batch_variance_close_to_full() {
+        let engine = Engine::new(catalog(2000));
+        let q = || engine.session().query_plan(&sum_plan(0.8)).seed(0);
+        let full = scalar_batch(q());
+        let sub = scalar_batch(q().subsample(300));
+        // Same point estimate (it uses the full sample in both cases)…
+        assert!((full.aggs[0].estimate - sub.aggs[0].estimate).abs() < 1e-9);
+        assert_eq!(sub.result_rows, full.result_rows);
+        // …and far fewer rows for variance estimation.
+        assert!(sub.variance_rows < full.variance_rows / 2);
+        // Variance agrees within a factor of 3 (it is an estimate of the
+        // same quantity from ~300 tuples).
+        let vf = full.aggs[0].variance.unwrap();
+        let vs = sub.aggs[0].variance.unwrap();
+        assert!(vs > vf / 3.0 && vs < vf * 3.0, "vf={vf}, vs={vs}");
+    }
+
+    #[test]
+    fn grouped_batch_is_unbiased_and_drops_unseen_groups() {
+        let engine = Engine::new(catalog(2000));
+        let grouped = |p: f64, seed: u64| {
+            let out = engine
+                .session()
+                .query_plan(&sum_plan(p))
+                .group_by(vec![col("k")])
+                .seed(seed)
+                .batch()
+                .unwrap();
+            out.as_grouped().expect("grouped batch").clone()
+        };
+        // Group k = 0 holds rows 0, 10, 20, …: its v values sum to 797.
+        let truth: f64 = (0..2000).step_by(10).map(|i| 1.0 + (i % 7) as f64).sum();
+        let trials = 150u64;
+        let mean = (0..trials)
+            .map(|seed| {
+                let r = grouped(0.4, seed);
+                assert_eq!(
+                    r.result_rows,
+                    r.groups.iter().map(|g| g.sample_rows).sum::<u64>()
+                );
+                r.groups[0].aggs[0].estimate
+            })
+            .sum::<f64>()
+            / trials as f64;
+        assert!(
+            (mean - truth).abs() < 0.03 * truth,
+            "mean {mean} vs {truth}"
+        );
+        // At a very low rate some group of 200 rows goes unsampled and is
+        // absent, not reported as a zero.
+        assert!((0..30).any(|seed| grouped(0.005, seed).groups.len() < 10));
     }
 
     #[test]

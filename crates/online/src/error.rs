@@ -2,10 +2,10 @@
 //!
 //! Every layer below the serving API — planning, SQL, execution,
 //! estimation — has its own error enum; [`Error`] wraps them all behind one
-//! public `Result` shape so a [`crate::QueryHandle`] (and the deprecated
-//! free-function drivers) surface a single error type. `From` impls exist
-//! for each wrapped error, including the storage and expression errors that
-//! previously had to be routed through `ExecError` by hand.
+//! public `Result` shape so a [`crate::QueryHandle`] surfaces a single
+//! error type. `From` impls exist for each wrapped error, including the
+//! storage and expression errors that previously had to be routed through
+//! `ExecError` by hand.
 
 use std::fmt;
 
@@ -33,11 +33,6 @@ pub enum Error {
         max: usize,
     },
 }
-
-/// Former name of [`Error`]; the enum was renamed when the Engine/Session
-/// API unified the online and batch error surfaces.
-#[deprecated(since = "0.1.0", note = "renamed to `sa_online::Error`")]
-pub type OnlineError = Error;
 
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -134,15 +129,5 @@ mod tests {
         assert!(b.to_string().contains("8 queries active"));
         assert!(b.to_string().contains("limit 8"));
         assert!(std::error::Error::source(&b).is_none());
-    }
-
-    #[test]
-    fn deprecated_alias_still_names_the_same_type() {
-        #[allow(deprecated)]
-        fn takes_old(e: OnlineError) -> Error {
-            e
-        }
-        let e = takes_old(Error::Unsupported("alias".into()));
-        assert!(e.to_string().contains("alias"));
     }
 }

@@ -1,7 +1,8 @@
 //! Grouped online aggregation: per-group accumulators, per-group stopping.
 //!
-//! [`run_online_grouped`] is the `GROUP BY` counterpart of
-//! [`crate::run_online`]. The GUS algebra needs nothing new for it: a
+//! `drive_grouped` is the `GROUP BY` counterpart of the scalar loop (the
+//! [`crate::Engine`] routes a query here when it has a `GROUP BY` list).
+//! The GUS algebra needs nothing new for it: a
 //! group's SUM is the SUM-like aggregate of `f_g(t) = f(t)·1{key(t) = g}` —
 //! the group indicator is just another selection (Proposition 5) — so the
 //! *same* top GUS from the one-time SOA rewrite analyzes every group, and
@@ -17,7 +18,7 @@
 //! target fires only when *every discovered group's* worst relative CI
 //! half-width is ≤ ε — one straggler group keeps the loop running. For
 //! long-tailed group counts that is often too strict (a group seen twice
-//! may never tighten), so [`GroupedOnlineOptions::ci_top_k`] restricts the
+//! may never tighten), so [`QueryOptions::ci_top_k`] restricts the
 //! *stopping decision* to the K groups with the largest absolute estimates;
 //! tail groups are still estimated and reported honestly, they just don't
 //! hold up termination. Row and time budgets stay **global**, exactly as in
@@ -42,39 +43,15 @@ use sa_exec::{agg_results_from_report, AggResult, ChunkStream, ColumnarChunk, Di
 use sa_exec::{BatchDimEval, ExecError, ProgressTree};
 use sa_expr::{compile, CompiledExpr, Expr};
 use sa_plan::{AggSpec, GusTree, LogicalPlan, SoaAnalysis, StopReason, StoppingRule};
-use sa_sql::plan_online_grouped_sql;
 use sa_storage::{Catalog, ColumnVec, Value};
 
 use crate::api::QueryOptions;
-#[allow(deprecated)]
-use crate::driver::OnlineOptions;
 use crate::driver::{adapt_chunk_hint, ADAPTIVE_CHUNK_CAP_FACTOR};
 use crate::driver::{open_aggregate, scale_gus_tree, worst_rel_half_width, OpenedAggregate};
 use crate::driver::{ProgressSnapshot, RunCtx};
 use crate::error::Error;
 use crate::parallel::run_worker_pool;
 use crate::Result;
-
-/// Options for the deprecated [`run_online_grouped`] free function.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `sa_online::QueryOptions` (which carries `ci_top_k` directly) with the \
-            `Engine`/`Session` builder API"
-)]
-#[allow(deprecated)]
-#[derive(Debug, Clone, Default)]
-pub struct GroupedOnlineOptions {
-    /// The underlying loop options (seed, chunk size, stopping rule, scan
-    /// scaling) — semantics identical to the scalar driver's, except that
-    /// the rule's CI target is evaluated per group.
-    pub online: OnlineOptions,
-    /// Judge the CI stopping target on only the `K` groups with the largest
-    /// absolute (first-aggregate) estimates — the long-tail policy. Tail
-    /// groups are still estimated and reported in every snapshot; they just
-    /// cannot postpone termination. `None` (default): every discovered
-    /// group must meet the target.
-    pub ci_top_k: Option<usize>,
-}
 
 /// One group's state within a [`GroupedProgressSnapshot`].
 #[derive(Debug, Clone)]
@@ -93,7 +70,7 @@ pub struct GroupProgress {
     /// snapshot (always false without a CI target).
     pub converged: bool,
     /// True when this group counts toward the stopping decision (always
-    /// true unless a [`GroupedOnlineOptions::ci_top_k`] policy demoted it).
+    /// true unless a [`QueryOptions::ci_top_k`] policy demoted it).
     pub tracked: bool,
 }
 
@@ -145,35 +122,8 @@ pub struct GroupedOnlineResult {
     pub analysis: SoaAnalysis,
 }
 
-/// Run a grouped aggregate plan progressively. `plan`'s root must be an
-/// [`LogicalPlan::Aggregate`]; `group_by` are expressions over the
-/// aggregate input's schema (at least one — use [`crate::run_online`] for
-/// scalar queries). `on_snapshot` is called after every chunk (including
-/// the final one).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Engine::new(catalog).session().query_plan(&plan).group_by(...).run_with(...)`"
-)]
-#[allow(deprecated)]
-pub fn run_online_grouped(
-    plan: &LogicalPlan,
-    group_by: &[Expr],
-    catalog: &Catalog,
-    opts: &GroupedOnlineOptions,
-    on_snapshot: impl FnMut(&GroupedProgressSnapshot),
-) -> Result<GroupedOnlineResult> {
-    drive_grouped(
-        plan,
-        group_by,
-        catalog,
-        &QueryOptions::from(opts),
-        &RunCtx::default(),
-        on_snapshot,
-    )
-}
-
-/// The canonical grouped progressive loop; everything public (the builder
-/// API and the deprecated free functions) funnels into this.
+/// The canonical grouped progressive loop; the builder API's `run` and
+/// `online` terminals funnel grouped queries into this.
 pub(crate) fn drive_grouped(
     plan: &LogicalPlan,
     group_by: &[Expr],
@@ -184,9 +134,7 @@ pub(crate) fn drive_grouped(
 ) -> Result<GroupedOnlineResult> {
     if group_by.is_empty() {
         return Err(Error::Unsupported(
-            "run_online_grouped requires at least one GROUP BY expression; use run_online \
-             for scalar aggregates"
-                .into(),
+            "a grouped query requires at least one GROUP BY expression".into(),
         ));
     }
     let OpenedAggregate {
@@ -194,7 +142,7 @@ pub(crate) fn drive_grouped(
         aggs,
         mut streams,
         layout,
-    } = open_aggregate(plan, catalog, opts, ctx, group_by, "run_online_grouped")?;
+    } = open_aggregate(plan, catalog, opts, ctx, group_by, "a grouped query")?;
     let key_kernels: Vec<CompiledExpr> = group_by
         .iter()
         .map(|e| compile(e, streams[0].schema()))
@@ -426,40 +374,6 @@ fn grouped_tick(
     Ok((snapshot, reason))
 }
 
-/// Parse, bind and progressively run a `GROUP BY` aggregate SQL query. A
-/// `WITHIN ε PERCENT CONFIDENCE γ` clause in the query overrides the CI
-/// target of `opts.online.rule` (row/time budgets are kept — they compose).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Engine::new(catalog).session().query(sql).run_with(...)`"
-)]
-#[allow(deprecated)]
-pub fn run_online_grouped_sql(
-    sql: &str,
-    catalog: &Catalog,
-    opts: &GroupedOnlineOptions,
-    on_snapshot: impl FnMut(&GroupedProgressSnapshot),
-) -> Result<GroupedOnlineResult> {
-    let (plan, group_by, rule) = plan_online_grouped_sql(sql, catalog)?;
-    if group_by.is_empty() {
-        return Err(Error::Unsupported(
-            "query has no GROUP BY; use run_online_sql for scalar aggregates".into(),
-        ));
-    }
-    let mut opts = QueryOptions::from(opts);
-    if let Some(rule) = rule {
-        opts.rule.ci_target = rule.ci_target;
-    }
-    drive_grouped(
-        &plan,
-        &group_by,
-        catalog,
-        &opts,
-        &RunCtx::default(),
-        on_snapshot,
-    )
-}
-
 /// Read every discovered group out of `acc` under `gus`, in deterministic
 /// key order, apply the top-K tracking policy, and return the table plus
 /// the tracked worst relative half-width — the per-snapshot readout shared
@@ -638,9 +552,10 @@ pub fn group_snapshot(
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::driver::RunCtx;
+    use crate::Engine;
     use sa_exec::{f_vector, layout_dims, open_stream, ExecOptions};
     use sa_expr::col;
     use sa_expr::{bind, eval};
@@ -677,23 +592,37 @@ mod tests {
             .aggregate(vec![AggSpec::sum(col("v"), "s")])
     }
 
-    fn opts(seed: u64, chunk_rows: usize, rule: StoppingRule) -> GroupedOnlineOptions {
-        GroupedOnlineOptions {
-            online: OnlineOptions {
-                seed,
-                chunk_rows,
-                rule,
-                ..Default::default()
-            },
-            ci_top_k: None,
+    fn opts(seed: u64, chunk_rows: usize, rule: StoppingRule) -> QueryOptions {
+        QueryOptions {
+            seed,
+            chunk_rows,
+            rule,
+            ..Default::default()
         }
+    }
+
+    fn drive(
+        plan: &LogicalPlan,
+        group_by: &[Expr],
+        catalog: &Catalog,
+        opts: &QueryOptions,
+        on_snapshot: impl FnMut(&GroupedProgressSnapshot),
+    ) -> Result<GroupedOnlineResult> {
+        drive_grouped(
+            plan,
+            group_by,
+            catalog,
+            opts,
+            &RunCtx::default(),
+            on_snapshot,
+        )
     }
 
     #[test]
     fn snapshots_list_groups_in_key_order_and_count_discoveries() {
         let c = catalog();
         let mut discovered = 0u64;
-        let r = run_online_grouped(
+        let r = drive(
             &sum_plan(0.5),
             &[col("g")],
             &c,
@@ -721,7 +650,7 @@ mod tests {
     fn exhausted_run_matches_batch_grouped_estimator() {
         let c = catalog();
         let plan = sum_plan(0.4);
-        let r = run_online_grouped(
+        let r = drive(
             &plan,
             &[col("g")],
             &c,
@@ -777,7 +706,7 @@ mod tests {
         // The rare group C converges last: when the loop stops, ALL groups
         // must meet the target, and the stop must still beat exhaustion.
         let c = catalog();
-        let r = run_online_grouped(
+        let r = drive(
             &sum_plan(0.9),
             &[col("g")],
             &c,
@@ -800,7 +729,7 @@ mod tests {
         // With a tight-ish target the tiny group C is the straggler; track
         // only the top-2 estimates (A and B) and the loop stops earlier.
         let c = catalog();
-        let all = run_online_grouped(
+        let all = drive(
             &sum_plan(0.9),
             &[col("g")],
             &c,
@@ -808,11 +737,11 @@ mod tests {
             |_| {},
         )
         .unwrap();
-        let top2 = run_online_grouped(
+        let top2 = drive(
             &sum_plan(0.9),
             &[col("g")],
             &c,
-            &GroupedOnlineOptions {
+            &QueryOptions {
                 ci_top_k: Some(2),
                 ..opts(4, 64, StoppingRule::ci(0.12, 0.95))
             },
@@ -870,7 +799,7 @@ mod tests {
     #[test]
     fn global_budgets_still_fire() {
         let c = catalog();
-        let r = run_online_grouped(
+        let r = drive(
             &sum_plan(0.9),
             &[col("g")],
             &c,
@@ -880,7 +809,7 @@ mod tests {
         .unwrap();
         assert_eq!(r.reason, StopReason::RowBudget);
         assert!(r.snapshot.rows >= 500 && r.snapshot.rows < 2000);
-        let r = run_online_grouped(
+        let r = drive(
             &sum_plan(0.9),
             &[col("g")],
             &c,
@@ -894,55 +823,39 @@ mod tests {
 
     #[test]
     fn grouped_sql_lowers_the_rule_per_group() {
-        let c = catalog();
+        let engine = Engine::new(catalog());
         let mut snaps = 0u64;
-        let r = run_online_grouped_sql(
-            "SELECT g, SUM(v) AS s FROM t TABLESAMPLE (90 PERCENT) GROUP BY g \
-             WITHIN 20 PERCENT CONFIDENCE 95",
-            &c,
-            &opts(4, 128, StoppingRule::exhaustive()),
-            |_| snaps += 1,
-        )
-        .unwrap();
+        let r = engine
+            .session()
+            .query(
+                "SELECT g, SUM(v) AS s FROM t TABLESAMPLE (90 PERCENT) GROUP BY g \
+                 WITHIN 20 PERCENT CONFIDENCE 95",
+            )
+            .seed(4)
+            .chunk_rows(128)
+            .run_with(|_| snaps += 1)
+            .unwrap();
         assert_eq!(r.reason, StopReason::CiConverged);
         assert_eq!(snaps, r.chunks);
-        assert!((r.snapshot.confidence - 0.95).abs() < 1e-12);
-        assert_eq!(r.snapshot.groups.len(), 3);
+        assert!((r.snapshot.confidence() - 0.95).abs() < 1e-12);
+        assert_eq!(r.snapshot.as_grouped().unwrap().groups.len(), 3);
     }
 
     #[test]
-    fn scalar_queries_and_empty_keys_redirected() {
+    fn empty_group_keys_rejected() {
         let c = catalog();
-        let err = run_online_grouped_sql(
-            "SELECT SUM(v) AS s FROM t TABLESAMPLE (50 PERCENT)",
-            &c,
-            &GroupedOnlineOptions::default(),
-            |_| {},
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("run_online_sql"), "{err}");
-        let err = run_online_grouped(
-            &sum_plan(0.5),
-            &[],
-            &c,
-            &GroupedOnlineOptions::default(),
-            |_| {},
-        )
-        .unwrap_err();
+        let err = drive(&sum_plan(0.5), &[], &c, &QueryOptions::default(), |_| {}).unwrap_err();
         assert!(err.to_string().contains("GROUP BY"), "{err}");
     }
 
     #[test]
     fn zero_chunk_rows_rejected() {
         let c = catalog();
-        let bad = GroupedOnlineOptions {
-            online: OnlineOptions {
-                chunk_rows: 0,
-                ..Default::default()
-            },
-            ci_top_k: None,
+        let bad = QueryOptions {
+            chunk_rows: 0,
+            ..Default::default()
         };
-        let err = run_online_grouped(&sum_plan(0.5), &[col("g")], &c, &bad, |_| {}).unwrap_err();
+        let err = drive(&sum_plan(0.5), &[col("g")], &c, &bad, |_| {}).unwrap_err();
         assert!(matches!(err, Error::InvalidOptions(_)), "{err}");
         assert!(err.to_string().contains("chunk_rows"), "{err}");
     }
@@ -950,11 +863,11 @@ mod tests {
     #[test]
     fn non_aggregate_root_rejected() {
         let c = catalog();
-        let err = run_online_grouped(
+        let err = drive(
             &LogicalPlan::scan("t"),
             &[col("g")],
             &c,
-            &GroupedOnlineOptions::default(),
+            &QueryOptions::default(),
             |_| {},
         )
         .unwrap_err();
@@ -972,7 +885,7 @@ mod tests {
             .sample(SamplingMethod::Bernoulli { p: 0.4 })
             .union_samples(LogicalPlan::scan("t").sample(SamplingMethod::Bernoulli { p: 0.4 }))
             .aggregate(vec![AggSpec::sum(col("v"), "s")]);
-        let r = run_online_grouped(
+        let r = drive(
             &plan,
             &[col("g")],
             &c,
@@ -1028,11 +941,11 @@ mod tests {
         .unwrap();
         c.register(TableBuilder::new("t", schema).finish().unwrap())
             .unwrap();
-        let r = run_online_grouped(
+        let r = drive(
             &sum_plan(0.5),
             &[col("g")],
             &c,
-            &GroupedOnlineOptions::default(),
+            &QueryOptions::default(),
             |_| {},
         )
         .unwrap();
@@ -1041,7 +954,7 @@ mod tests {
         assert!(r.snapshot.groups.is_empty());
         assert_eq!(r.snapshot.rel_half_width, None);
         // A CI rule over an empty stream must run to exhaustion, not fire.
-        let r = run_online_grouped(
+        let r = drive(
             &sum_plan(0.5),
             &[col("g")],
             &c,
@@ -1055,7 +968,7 @@ mod tests {
     #[test]
     fn group_snapshot_projects_one_group() {
         let c = catalog();
-        let r = run_online_grouped(
+        let r = drive(
             &sum_plan(0.5),
             &[col("g")],
             &c,
@@ -1079,7 +992,7 @@ mod tests {
                 AggSpec::count_star("n"),
                 AggSpec::avg(col("v"), "a"),
             ]);
-        let r = run_online_grouped(
+        let r = drive(
             &plan,
             &[col("g"), col("v")],
             &c,

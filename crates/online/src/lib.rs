@@ -16,7 +16,8 @@
 //! * `.run()` / `.run_with(cb)` execute synchronously; `.online()` returns
 //!   a [`QueryHandle`] with a snapshot iterator, cancellation
 //!   ([`StopReason::Cancelled`]) and a final [`QueryResult`]; `.batch()`
-//!   runs the paper's one-shot estimator;
+//!   runs the paper's one-shot estimator by draining the same stream, so
+//!   one `(plan, seed)` is one sample across all three;
 //! * **stopping rules** ([`sa_plan::StoppingRule`], re-exported): relative
 //!   CI half-width ≤ ε at confidence 1−δ (the SQL `WITHIN ε PERCENT
 //!   CONFIDENCE γ` clause), a row budget, a wall-clock budget, or
@@ -34,11 +35,6 @@
 //! For any fixed prefix of consumed tuples the incremental estimate and
 //! variance equal the batch estimator's output on that prefix (up to float
 //! associativity): same moments, same Theorem 1 machinery.
-//!
-//! The six pre-engine free functions ([`run_online`], [`run_online_sql`],
-//! [`run_online_grouped`], [`run_online_grouped_sql`], and sa-exec's
-//! `approx_query` / `approx_group_query`) remain as deprecated thin
-//! wrappers over the same internals.
 //!
 //! ## Quick start
 //!
@@ -67,6 +63,7 @@
 #![warn(missing_docs)]
 
 pub mod api;
+pub(crate) mod batch;
 pub mod driver;
 pub mod engine;
 pub mod error;
@@ -74,16 +71,10 @@ pub mod grouped;
 pub(crate) mod parallel;
 
 pub use api::{BatchOutput, QueryOptions, QueryResult, Snapshot};
-#[allow(deprecated)]
-pub use driver::{run_online, run_online_sql, OnlineOptions};
 pub use driver::{OnlineResult, ProgressSnapshot};
 pub use engine::{Engine, EngineBuilder, QueryBuilder, QueryHandle, Session};
 pub use error::Error;
-#[allow(deprecated)]
-pub use error::OnlineError;
 pub use grouped::{group_snapshot, GroupProgress, GroupedOnlineResult, GroupedProgressSnapshot};
-#[allow(deprecated)]
-pub use grouped::{run_online_grouped, run_online_grouped_sql, GroupedOnlineOptions};
 // The vocabulary types callers need alongside the driver.
 pub use sa_obs::{Event, EventKind, HistogramSnapshot, MetricsSnapshot, Registry};
 pub use sa_plan::{CiTarget, StopReason, StoppingRule};

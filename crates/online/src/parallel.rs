@@ -61,8 +61,7 @@ use crate::Result;
 
 /// The worker pool's observability handles, threaded in through
 /// [`crate::driver::RunCtx`]. The default (disabled) handles make every
-/// update a single untaken branch, so the deprecated free functions and
-/// uninstrumented engines pay nothing.
+/// update a single untaken branch, so uninstrumented engines pay nothing.
 #[derive(Clone, Default)]
 pub(crate) struct PoolObs {
     /// Chunks accumulated by workers (`sa_worker_chunks_total`).

@@ -127,8 +127,31 @@ impl SamplingMethod {
     /// result may contain duplicates only for `WithReplacement`; it is in
     /// ascending order for the other methods.
     pub fn sample(&self, table: &Table, rng: &mut StdRng) -> Result<Vec<RowId>> {
+        match self {
+            SamplingMethod::System { p } => {
+                self.validate()?;
+                let mut out = Vec::new();
+                for block in 0..table.block_count() {
+                    if rng.random::<f64>() < *p {
+                        let (start, end) = table.block_range(block);
+                        out.extend(start..end);
+                    }
+                }
+                Ok(out)
+            }
+            _ => self.sample_positions(table.row_count(), rng),
+        }
+    }
+
+    /// Draw the positions `0..n` of an input sequence this tuple-level
+    /// method keeps, with the supplied RNG: one coin per position for
+    /// Bernoulli, Floyd's algorithm for WOR (ascending), and `size` uniform
+    /// draws in draw order for with-replacement. The streaming executor
+    /// materializes a blocking sampler's input and keeps exactly these
+    /// positions, so a table sample and a materialized-input sample are the
+    /// same draw. `SYSTEM` needs block structure and is rejected.
+    pub fn sample_positions(&self, n: u64, rng: &mut StdRng) -> Result<Vec<u64>> {
         self.validate()?;
-        let n = table.row_count();
         Ok(match self {
             SamplingMethod::Bernoulli { p } => {
                 (0..n).filter(|_| rng.random::<f64>() < *p).collect()
@@ -143,23 +166,18 @@ impl SamplingMethod {
                 ids.sort_unstable();
                 ids
             }
-            SamplingMethod::System { p } => {
-                let mut out = Vec::new();
-                for block in 0..table.block_count() {
-                    if rng.random::<f64>() < *p {
-                        let (start, end) = table.block_range(block);
-                        out.extend(start..end);
-                    }
-                }
-                out
-            }
             SamplingMethod::WithReplacement { size } => {
                 if n == 0 {
                     return Err(SamplingError::InvalidSpec(
-                        "cannot draw with replacement from an empty table".into(),
+                        "cannot draw with replacement from an empty input".into(),
                     ));
                 }
                 (0..*size).map(|_| rng.random_range(0..n)).collect()
+            }
+            SamplingMethod::System { .. } => {
+                return Err(SamplingError::InvalidSpec(
+                    "SYSTEM sampling draws blocks, not positions".into(),
+                ))
             }
         })
     }

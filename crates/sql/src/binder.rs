@@ -187,53 +187,33 @@ pub fn plan_sql(sql: &str, catalog: &Catalog) -> Result<LogicalPlan> {
     let q = crate::parser::parse(sql)?;
     if !q.group_by.is_empty() {
         return Err(SqlError::Bind(
-            "query has GROUP BY; use plan_grouped_sql + approx_group_query".into(),
+            "query has GROUP BY; plan it with plan_grouped_sql and run it as a grouped \
+             query (Session::query_plan(..).group_by(keys))"
+                .into(),
         ));
     }
     bind_query(&q, catalog)
 }
 
 /// Parse and bind a (possibly grouped) aggregate query: returns the
-/// aggregate plan plus the `GROUP BY` expressions, ready for
-/// `sa_exec::approx_group_query` (or `approx_query` when the list is empty).
+/// aggregate plan plus the `GROUP BY` expressions (empty for a scalar
+/// query), ready for `sa_online`'s `Session::query_plan(..).group_by(keys)`.
 ///
 /// A `WITHIN … PERCENT CONFIDENCE …` clause, if present, is accepted and
 /// ignored here — batch estimation has no stopping loop. Use
-/// [`plan_online_sql`] to obtain the lowered stopping rule.
+/// [`plan_online_grouped_sql`] to obtain the lowered stopping rule.
 pub fn plan_grouped_sql(sql: &str, catalog: &Catalog) -> Result<(LogicalPlan, Vec<Expr>)> {
     let q = crate::parser::parse(sql)?;
     let plan = bind_query(&q, catalog)?;
     Ok((plan, q.group_by))
 }
 
-/// Parse and bind a scalar aggregate query for **online** (progressive)
-/// estimation: returns the plan plus the stopping rule lowered from the
-/// query's `WITHIN ε PERCENT CONFIDENCE γ` clause (`None` when the query has
-/// no accuracy clause — the caller supplies its own rule or runs to
-/// exhaustion).
-pub fn plan_online_sql(
-    sql: &str,
-    catalog: &Catalog,
-) -> Result<(LogicalPlan, Option<sa_plan::StoppingRule>)> {
-    let (plan, group_by, rule) = plan_online_grouped_sql(sql, catalog)?;
-    if !group_by.is_empty() {
-        // Not a capability gap any more — the scalar signature just cannot
-        // carry per-group results.
-        return Err(SqlError::Bind(
-            "query has GROUP BY; plan it with plan_online_grouped_sql and run it with the \
-             grouped online driver (per-group stopping)"
-                .into(),
-        ));
-    }
-    Ok((plan, rule))
-}
-
 /// Parse and bind a (possibly grouped) aggregate query for **online**
 /// (progressive) estimation: returns the plan, the `GROUP BY` expressions
 /// (empty for a scalar query), and the stopping rule lowered from the
-/// query's `WITHIN ε PERCENT CONFIDENCE γ` clause. Ready for
-/// `sa_online::run_online_grouped` (or `run_online` when the key list is
-/// empty).
+/// query's `WITHIN ε PERCENT CONFIDENCE γ` clause (`None` when the query
+/// has no accuracy clause — the caller supplies its own rule or runs to
+/// exhaustion). This is what `sa_online`'s `Session::query` runs.
 pub fn plan_online_grouped_sql(
     sql: &str,
     catalog: &Catalog,
@@ -469,17 +449,6 @@ mod tests {
         .unwrap();
         assert!(group_by.is_empty());
         assert!(rule.is_none());
-    }
-
-    #[test]
-    fn scalar_online_entry_redirects_grouped_queries() {
-        let err = plan_online_sql(
-            "SELECT l_orderkey, SUM(l_extendedprice) FROM lineitem GROUP BY l_orderkey",
-            &catalog(),
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("GROUP BY"), "{err}");
-        assert!(err.to_string().contains("plan_online_grouped_sql"), "{err}");
     }
 
     #[test]

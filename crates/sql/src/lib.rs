@@ -10,15 +10,15 @@
 //! `CREATE VIEW APPROX (lo, hi) AS …` syntax.
 //!
 //! [`plan_sql`] goes from SQL text to a validated [`sa_plan::LogicalPlan`]
-//! ready for `sa_exec::approx_query`; [`plan_grouped_sql`] also returns the
-//! `GROUP BY` keys, and [`plan_online_sql`] / [`plan_online_grouped_sql`]
-//! additionally lower a `WITHIN ε PERCENT CONFIDENCE γ` accuracy clause
+//! ready for `sa_online`'s `Session::query_plan`; [`plan_grouped_sql`] also
+//! returns the `GROUP BY` keys, and [`plan_online_grouped_sql`]
+//! additionally lowers a `WITHIN ε PERCENT CONFIDENCE γ` accuracy clause
 //! into an `sa_plan::StoppingRule` for the online drivers.
 //!
 //! # Examples
 //!
 //! ```
-//! use sa_sql::{plan_online_sql, plan_sql};
+//! use sa_sql::{plan_online_grouped_sql, plan_sql};
 //! use sa_storage::{Catalog, DataType, Field, Schema, TableBuilder, Value};
 //!
 //! let mut catalog = Catalog::new();
@@ -32,10 +32,11 @@
 //! assert!(matches!(plan, sa_plan::LogicalPlan::Aggregate { .. }));
 //!
 //! // The online form also lowers the accuracy clause into a stopping rule.
-//! let (_, rule) = plan_online_sql(
+//! let (_, keys, rule) = plan_online_grouped_sql(
 //!     "SELECT SUM(v) AS s FROM t TABLESAMPLE (25 PERCENT) WITHIN 5 PERCENT CONFIDENCE 95",
 //!     &catalog,
 //! ).unwrap();
+//! assert!(keys.is_empty());
 //! let target = rule.unwrap().ci_target.unwrap();
 //! assert!((target.epsilon - 0.05).abs() < 1e-12);
 //! ```
@@ -49,9 +50,7 @@ pub mod parser;
 pub mod token;
 
 pub use ast::{AccuracyClause, AggCall, AggItem, Query, SampleSpec, TableRef, ViewHeader};
-pub use binder::{
-    bind_query, plan_grouped_sql, plan_online_grouped_sql, plan_online_sql, plan_sql,
-};
+pub use binder::{bind_query, plan_grouped_sql, plan_online_grouped_sql, plan_sql};
 pub use error::SqlError;
 pub use parser::parse;
 

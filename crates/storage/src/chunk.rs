@@ -140,110 +140,6 @@ impl ColumnVec {
         ColumnVec { data, validity }
     }
 
-    /// Build a column of `data_type` from row-major values (the bridge for
-    /// materialized row vectors). `Null` is accepted for any type; `Int`
-    /// widens into a `Float` column. Panics on other mismatches — callers
-    /// hold schema-checked rows.
-    pub fn from_values(data_type: DataType, values: impl Iterator<Item = Value>) -> ColumnVec {
-        let (lo, _) = values.size_hint();
-        let mut validity: Vec<bool> = Vec::with_capacity(lo);
-        let mut any_null = false;
-        let data = match data_type {
-            DataType::Bool => {
-                let mut out = Vec::with_capacity(lo);
-                for v in values {
-                    match v {
-                        Value::Bool(b) => {
-                            out.push(b);
-                            validity.push(true);
-                        }
-                        Value::Null => {
-                            out.push(false);
-                            validity.push(false);
-                            any_null = true;
-                        }
-                        other => panic!("Bool column got {other:?}"),
-                    }
-                }
-                ColumnData::Bool(out)
-            }
-            DataType::Int => {
-                let mut out = Vec::with_capacity(lo);
-                for v in values {
-                    match v {
-                        Value::Int(i) => {
-                            out.push(i);
-                            validity.push(true);
-                        }
-                        Value::Null => {
-                            out.push(0);
-                            validity.push(false);
-                            any_null = true;
-                        }
-                        other => panic!("Int column got {other:?}"),
-                    }
-                }
-                ColumnData::Int(out)
-            }
-            DataType::Float => {
-                let mut out = Vec::with_capacity(lo);
-                for v in values {
-                    match v {
-                        Value::Float(f) => {
-                            out.push(f);
-                            validity.push(true);
-                        }
-                        Value::Int(i) => {
-                            out.push(i as f64);
-                            validity.push(true);
-                        }
-                        Value::Null => {
-                            out.push(0.0);
-                            validity.push(false);
-                            any_null = true;
-                        }
-                        other => panic!("Float column got {other:?}"),
-                    }
-                }
-                ColumnData::Float(out)
-            }
-            DataType::Str => {
-                let mut dict: Vec<Arc<str>> = Vec::new();
-                let mut index: std::collections::HashMap<Arc<str>, u32> = Default::default();
-                let mut codes = Vec::with_capacity(lo);
-                for v in values {
-                    match v {
-                        Value::Str(s) => {
-                            let code = *index.entry(s.clone()).or_insert_with(|| {
-                                dict.push(s.clone());
-                                (dict.len() - 1) as u32
-                            });
-                            codes.push(code);
-                            validity.push(true);
-                        }
-                        Value::Null => {
-                            codes.push(0);
-                            validity.push(false);
-                            any_null = true;
-                        }
-                        other => panic!("Str column got {other:?}"),
-                    }
-                }
-                if dict.is_empty() {
-                    dict.push(Arc::from(""));
-                }
-                ColumnData::Str {
-                    dict: Arc::new(dict),
-                    codes,
-                }
-            }
-        };
-        ColumnVec {
-            data,
-            validity: if any_null { Some(validity) } else { None },
-        }
-    }
-
     /// Keep the rows where `mask` is true (`mask.len() == self.len()`).
     pub fn filter(&self, mask: &[bool]) -> ColumnVec {
         debug_assert_eq!(mask.len(), self.len());
@@ -295,6 +191,60 @@ impl ColumnVec {
                 dict: dict.clone(),
                 codes: codes[start..end].to_vec(),
             },
+        };
+        ColumnVec { data, validity }
+    }
+
+    /// Vertical concatenation of same-typed columns (the chunks of one
+    /// stream), in order. String parts sharing the first part's dictionary
+    /// keep their codes; a part with another dictionary has its entries
+    /// appended and its codes offset.
+    pub fn concat(parts: &[&ColumnVec]) -> ColumnVec {
+        let len: usize = parts.iter().map(|p| p.len()).sum();
+        let validity = parts.iter().any(|p| p.validity.is_some()).then(|| {
+            let mut v = Vec::with_capacity(len);
+            for p in parts {
+                match &p.validity {
+                    Some(pv) => v.extend_from_slice(pv),
+                    None => v.resize(v.len() + p.len(), true),
+                }
+            }
+            v
+        });
+        let data = match &parts[0].data {
+            ColumnData::Bool(_) => ColumnData::Bool(concat_vecs(parts, |d| match d {
+                ColumnData::Bool(v) => v,
+                _ => unreachable!("same-typed parts"),
+            })),
+            ColumnData::Int(_) => ColumnData::Int(concat_vecs(parts, |d| match d {
+                ColumnData::Int(v) => v,
+                _ => unreachable!("same-typed parts"),
+            })),
+            ColumnData::Float(_) => ColumnData::Float(concat_vecs(parts, |d| match d {
+                ColumnData::Float(v) => v,
+                _ => unreachable!("same-typed parts"),
+            })),
+            ColumnData::Str { dict: first, .. } => {
+                let mut merged: Option<Vec<Arc<str>>> = None;
+                let mut codes = Vec::with_capacity(len);
+                for p in parts {
+                    let ColumnData::Str { dict, codes: pc } = &p.data else {
+                        unreachable!("same-typed parts");
+                    };
+                    if Arc::ptr_eq(dict, first) {
+                        codes.extend_from_slice(pc);
+                    } else {
+                        let m = merged.get_or_insert_with(|| first.as_ref().clone());
+                        let offset = m.len() as u32;
+                        m.extend(dict.iter().cloned());
+                        codes.extend(pc.iter().map(|c| c + offset));
+                    }
+                }
+                ColumnData::Str {
+                    dict: merged.map_or_else(|| first.clone(), Arc::new),
+                    codes,
+                }
+            }
         };
         ColumnVec { data, validity }
     }
@@ -395,6 +345,14 @@ fn take_vec<T: Copy>(v: &[T], indices: &[u32]) -> Vec<T> {
     indices.iter().map(|&i| v[i as usize]).collect()
 }
 
+fn concat_vecs<T: Copy>(parts: &[&ColumnVec], data: impl Fn(&ColumnData) -> &Vec<T>) -> Vec<T> {
+    let mut out = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
+    for p in parts {
+        out.extend_from_slice(data(&p.data));
+    }
+    out
+}
+
 /// A batch of rows in columnar form: equal-length [`ColumnVec`]s.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnarBatch {
@@ -475,6 +433,19 @@ impl ColumnarBatch {
         }
     }
 
+    /// Vertical concatenation of batches with the same column layout, in
+    /// order (see [`ColumnVec::concat`]). `parts` must not be empty.
+    pub fn concat(parts: &[&ColumnarBatch]) -> ColumnarBatch {
+        let rows = parts.iter().map(|p| p.rows).sum();
+        let columns = (0..parts[0].columns.len())
+            .map(|c| {
+                let col: Vec<&ColumnVec> = parts.iter().map(|p| &p.columns[c]).collect();
+                ColumnVec::concat(&col)
+            })
+            .collect();
+        ColumnarBatch::new(columns, rows)
+    }
+
     /// Horizontal concatenation (join output: probe columns ++ build
     /// columns). Both batches must have the same row count.
     pub fn concat_columns(mut self, right: ColumnarBatch) -> ColumnarBatch {
@@ -498,6 +469,25 @@ mod tests {
             }
         }
         b.finish()
+    }
+
+    #[test]
+    fn concat_merges_validity_and_dictionaries() {
+        let a = ColumnVec::from_column_range(&str_column(&[Some("x"), None]), 0, 2);
+        let b = ColumnVec::from_column_range(&str_column(&[Some("y"), Some("x")]), 0, 2);
+        let ints = |v: Vec<i64>| ColumnVec::new(ColumnData::Int(v));
+        let cat = ColumnVec::concat(&[&a, &b, &a.slice(0, 1)]);
+        let got: Vec<Value> = (0..cat.len()).map(|i| cat.value(i)).collect();
+        let want = ["x", "", "y", "x", "x"].map(|s| {
+            if s.is_empty() {
+                Value::Null
+            } else {
+                Value::str(s)
+            }
+        });
+        assert_eq!(got, want);
+        let cat = ColumnVec::concat(&[&ints(vec![1, 2]), &ints(vec![3])]);
+        assert_eq!((cat.len(), cat.validity), (3, None));
     }
 
     #[test]
@@ -536,38 +526,6 @@ mod tests {
         let sliced = cv.slice(1, 2);
         assert_eq!(sliced.value(0), Value::str("sf"));
         assert_eq!(sliced.value(1), Value::Null);
-    }
-
-    #[test]
-    fn from_values_round_trips_every_type() {
-        for (dt, vals) in [
-            (
-                DataType::Int,
-                vec![Value::Int(1), Value::Null, Value::Int(-3)],
-            ),
-            (
-                DataType::Float,
-                vec![Value::Float(0.5), Value::Int(2), Value::Null],
-            ),
-            (
-                DataType::Bool,
-                vec![Value::Bool(true), Value::Null, Value::Bool(false)],
-            ),
-            (
-                DataType::Str,
-                vec![Value::str("a"), Value::str("a"), Value::Null],
-            ),
-        ] {
-            let cv = ColumnVec::from_values(dt, vals.clone().into_iter());
-            for (i, v) in vals.iter().enumerate() {
-                let got = cv.value(i);
-                let want = match (dt, v) {
-                    (DataType::Float, Value::Int(i)) => Value::Float(*i as f64),
-                    _ => v.clone(),
-                };
-                assert_eq!(got, want, "{dt:?}[{i}]");
-            }
-        }
     }
 
     #[test]

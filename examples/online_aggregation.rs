@@ -16,7 +16,7 @@
 
 use sampling_algebra::exec::exact_group_query;
 use sampling_algebra::prelude::*;
-use sampling_algebra::sql::{plan_online_grouped_sql, plan_online_sql};
+use sampling_algebra::sql::plan_online_grouped_sql;
 
 fn main() {
     // 1. Data: TPC-H at a scale where batch execution is already noticeable.
@@ -81,7 +81,7 @@ fn main() {
     );
 
     // 4. Compare: online early stop vs batch over the full sample vs exact.
-    let (plan, _) = plan_online_sql(sql, engine.catalog()).unwrap();
+    let (plan, _, _) = plan_online_grouped_sql(sql, engine.catalog()).unwrap();
     let batch = engine.session().query_plan(&plan).seed(7).batch().unwrap();
     let batch = batch.as_scalar().unwrap();
     let exact = exact_query(&plan, engine.catalog()).unwrap()[0];

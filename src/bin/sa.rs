@@ -51,8 +51,6 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
-#[allow(deprecated)]
-use sampling_algebra::exec::approx_group_query;
 use sampling_algebra::exec::{exact_group_query, GroupedApproxResult};
 use sampling_algebra::prelude::*;
 use sampling_algebra::sql::plan_grouped_sql;
@@ -237,7 +235,7 @@ fn main() {
 
     if let Some(sql) = one_shot {
         if online {
-            run_online_mode(&mut shell, &sql);
+            online_mode(&mut shell, &sql);
         } else {
             run_line(&mut shell, &sql);
         }
@@ -428,7 +426,7 @@ fn run_line(shell: &mut Shell, line: &str) {
                 }
                 _ => println!("\\shuffle needs `on` or `off`"),
             },
-            "online" => run_online_mode(shell, arg),
+            "online" => online_mode(shell, arg),
             "exact" => run_exact(shell, arg),
             "trace" => run_trace(shell, arg),
             "stats" => print!("{}", shell.engine.render_prometheus()),
@@ -439,10 +437,9 @@ fn run_line(shell: &mut Shell, line: &str) {
     run_estimate(shell, line);
 }
 
-// The batch path stays on the low-level exec entry points: the `\subsample`
-// knob (§7 sub-sampled variance) is exec-layer plumbing the Engine API does
-// not surface.
-#[allow(deprecated)]
+/// One-shot batch estimation through the engine: it drains the stream an
+/// `\online` run would open (same seed, jobs and scan order) and reads the
+/// estimate out once. A `WITHIN` clause is ignored here.
 fn run_estimate(shell: &mut Shell, sql: &str) {
     let (plan, group_by) = match plan_grouped_sql(sql, shell.engine.catalog()) {
         Ok(p) => p,
@@ -451,21 +448,23 @@ fn run_estimate(shell: &mut Shell, sql: &str) {
             return;
         }
     };
-    let opts = ApproxOptions {
-        seed: shell.seed,
-        confidence: shell.confidence,
-        subsample_target: shell.subsample,
-    };
-    if group_by.is_empty() {
-        match approx_query(&plan, shell.engine.catalog(), &opts) {
-            Ok(r) => print_scalar(&r),
-            Err(e) => println!("error: {e}"),
-        }
-    } else {
-        match approx_group_query(&plan, &group_by, shell.engine.catalog(), &opts) {
-            Ok(r) => print_grouped(&r),
-            Err(e) => println!("error: {e}"),
-        }
+    let mut builder = shell
+        .engine
+        .session()
+        .query_plan(&plan)
+        .group_by(group_by)
+        .seed(shell.seed)
+        .confidence(shell.confidence)
+        .chunk_rows(shell.chunk_rows)
+        .jobs(shell.jobs)
+        .shuffle_scan(shell.shuffle_scan);
+    if let Some(n) = shell.subsample {
+        builder = builder.subsample(n);
+    }
+    match builder.batch() {
+        Ok(BatchOutput::Scalar(r)) => print_scalar(&r),
+        Ok(BatchOutput::Grouped(r)) => print_grouped(&r),
+        Err(e) => println!("error: {e}"),
     }
     shell.seed = shell.seed.wrapping_add(1); // fresh sample next time
 }
@@ -532,7 +531,7 @@ fn print_grouped(r: &GroupedApproxResult) {
 /// table (grouped) per snapshot, then the final estimates and why the query
 /// stopped. A `WITHIN … CONFIDENCE …` clause in the SQL sets the stopping
 /// rule; scalar vs. grouped is decided by `GROUP BY`.
-fn run_online_mode(shell: &mut Shell, sql: &str) {
+fn online_mode(shell: &mut Shell, sql: &str) {
     let mut builder = shell
         .engine
         .session()

@@ -81,22 +81,15 @@ pub mod prelude {
         GroupedMomentAccumulator, GusParams, LineageBernoulli, LineageSchema, MomentAccumulator,
         RelSet, SBox,
     };
-    #[allow(deprecated)]
-    pub use sa_exec::approx_query;
     pub use sa_exec::{
-        exact_query, execute, open_stream, open_stream_partitioned, ApproxOptions, ApproxResult,
-        ChunkStream, ExecOptions,
+        exact_group_query, exact_query, open_stream, open_stream_partitioned, ApproxResult,
+        ChunkStream, ExecOptions, GroupedApproxResult,
     };
     pub use sa_expr::{col, lit, Expr};
-    #[allow(deprecated)]
     pub use sa_online::{
-        run_online, run_online_grouped, run_online_grouped_sql, run_online_sql,
-        GroupedOnlineOptions, OnlineOptions,
-    };
-    pub use sa_online::{
-        BatchOutput, Engine, EngineBuilder, Error as OnlineError, GroupedOnlineResult,
-        GroupedProgressSnapshot, OnlineResult, ProgressSnapshot, QueryBuilder, QueryHandle,
-        QueryOptions, QueryResult, Session, Snapshot,
+        BatchOutput, Engine, EngineBuilder, GroupedOnlineResult, GroupedProgressSnapshot,
+        OnlineResult, ProgressSnapshot, QueryBuilder, QueryHandle, QueryOptions, QueryResult,
+        Session, Snapshot,
     };
     pub use sa_plan::{
         render_gus_table, rewrite, AggFunc, AggSpec, LogicalPlan, SoaAnalysis, StopReason,

@@ -1,5 +1,3 @@
-#![allow(deprecated)] // exercises the pre-Engine API on purpose
-
 //! The Section 8 applications of the paper, as integration tests:
 //!
 //! 1. **Database as a sample** — robustness analysis by viewing the stored
@@ -67,13 +65,14 @@ fn choosing_sampling_parameters_predicts_other_designs() {
     let plan = LogicalPlan::scan("t")
         .sample(SamplingMethod::Bernoulli { p: 0.3 })
         .aggregate(vec![AggSpec::sum(col("v"), "s")]);
-    let run = approx_query(
+    let run = batch(
         &plan,
         &cat,
-        &ApproxOptions {
+        &QueryOptions {
             seed: 4,
             confidence: 0.95,
             subsample_target: None,
+            ..Default::default()
         },
     )
     .unwrap();
@@ -103,13 +102,14 @@ fn predicted_variance_ranks_designs_correctly() {
     let plan = LogicalPlan::scan("t")
         .sample(SamplingMethod::Bernoulli { p: 0.4 })
         .aggregate(vec![AggSpec::sum(col("v"), "s")]);
-    let run = approx_query(
+    let run = batch(
         &plan,
         &cat,
-        &ApproxOptions {
+        &QueryOptions {
             seed: 9,
             confidence: 0.95,
             subsample_target: None,
+            ..Default::default()
         },
     )
     .unwrap();
@@ -141,13 +141,14 @@ fn intermediate_result_size_estimation() {
     let mut mean = 0.0;
     let mut covered = 0;
     for seed in 0..trials {
-        let r = approx_query(
+        let r = batch(
             &plan,
             &cat,
-            &ApproxOptions {
+            &QueryOptions {
                 seed,
                 confidence: 0.95,
                 subsample_target: None,
+                ..Default::default()
             },
         )
         .unwrap();
@@ -174,13 +175,14 @@ fn load_shedding_rate_analysis() {
         &cat,
     )
     .unwrap();
-    let run = approx_query(
+    let run = batch(
         &plan,
         &cat,
-        &ApproxOptions {
+        &QueryOptions {
             seed: 1,
             confidence: 0.95,
             subsample_target: None,
+            ..Default::default()
         },
     )
     .unwrap();
@@ -202,4 +204,15 @@ fn load_shedding_rate_analysis() {
     }
     // At a 40% keep rate the predicted relative error should be small.
     assert!(last_rel_err < 0.2, "rel err {last_rel_err}");
+}
+
+/// The one-shot batch estimate of the scalar `plan` (`QueryBuilder::batch`).
+fn batch(
+    plan: &LogicalPlan,
+    catalog: &Catalog,
+    opts: &QueryOptions,
+) -> Result<ApproxResult, sampling_algebra::online::Error> {
+    let query = Engine::new(catalog.clone()).session().query_plan(plan);
+    let out = query.options(opts.clone()).batch()?;
+    Ok(out.as_scalar().expect("scalar plan").clone())
 }

@@ -1,5 +1,3 @@
-#![allow(deprecated)] // exercises the pre-Engine API on purpose
-
 //! Row-vs-columnar equivalence: the columnar batch engine must be
 //! observationally identical to row-at-a-time execution.
 //!
@@ -9,17 +7,20 @@
 //!   ([`ChunkStream::next_batch`]) yields exactly the row adapter's tuples
 //!   and that the batch-accumulated online estimate equals a per-row
 //!   reference accumulation to 1e-12 (relative);
-//! * adaptive chunk sizing ([`OnlineOptions::adaptive_chunks`]) must change
+//! * adaptive chunk sizing ([`QueryOptions::adaptive_chunks`]) must change
 //!   snapshot cadence only — the realized sample, and hence the exhaustion
-//!   estimate, is pinned equal to the fixed-chunk run.
+//!   estimate, is pinned equal to the fixed-chunk run;
+//! * one `(plan, seed)` is one sample across terminals: the one-shot
+//!   `batch()` equals `run()` to exhaustion, estimate and variance to 1e-9,
+//!   for scalar, grouped, fixed-size WOR, join and union plans at 1 and 4
+//!   workers.
 
 use proptest::prelude::*;
 
 use sa_core::MomentAccumulator;
 use sa_storage::{Catalog, DataType, Field, Schema, TableBuilder};
-use sampling_algebra::exec::{f_vector, layout_dims, open_stream, ExecOptions};
+use sampling_algebra::exec::{f_vector, layout_dims, open_stream, AggResult, ExecOptions};
 use sampling_algebra::expr::col;
-use sampling_algebra::online::{run_online, OnlineOptions};
 use sampling_algebra::prelude::*;
 
 /// `t`: 600 rows of (k Int, v Float-with-NULLs, s Str-with-NULLs), block
@@ -144,10 +145,10 @@ proptest! {
         // 2. Estimate equality: the online driver's batch accumulation vs a
         //    per-row reference over the same realized rows.
         let plan = input.clone().aggregate(vec![AggSpec::sum(agg_col, "s")]);
-        let online = run_online(
+        let online = run(
             &plan,
             &c,
-            &OnlineOptions {
+            &QueryOptions {
                 seed,
                 chunk_rows: hint_a,
                 ..Default::default()
@@ -193,10 +194,10 @@ fn adaptive_chunks_change_cadence_not_estimates() {
         .sample(SamplingMethod::Bernoulli { p: 0.8 })
         .aggregate(vec![AggSpec::sum(col("v"), "s")]);
     let run = |adaptive: bool| {
-        run_online(
+        run(
             &plan,
             &c,
-            &OnlineOptions {
+            &QueryOptions {
                 seed: 5,
                 chunk_rows: 8,
                 adaptive_chunks: adaptive,
@@ -246,10 +247,10 @@ fn adaptive_chunks_respect_the_cap_and_ci_rule() {
     let plan = LogicalPlan::scan("big")
         .sample(SamplingMethod::Bernoulli { p: 0.5 })
         .aggregate(vec![AggSpec::sum(col("v"), "s")]);
-    let r = run_online(
+    let r = run(
         &plan,
         &c,
-        &OnlineOptions {
+        &QueryOptions {
             seed: 4,
             chunk_rows: 64,
             rule: StoppingRule::ci(0.05, 0.95),
@@ -266,4 +267,125 @@ fn adaptive_chunks_respect_the_cap_and_ci_rule() {
         "stopped early: {}",
         r.snapshot.rows
     );
+}
+
+/// `|a - b| ≤ 1e-9 · (1 + |b|)` on estimates and variances, aggregate by
+/// aggregate.
+fn assert_same_estimates(what: &str, batch: &[AggResult], run: &[AggResult]) {
+    assert_eq!(batch.len(), run.len(), "{what}");
+    for (b, r) in batch.iter().zip(run) {
+        let close = |x: f64, y: f64| (x - y).abs() <= 1e-9 * (1.0 + y.abs());
+        assert!(
+            close(b.estimate, r.estimate),
+            "{what} {}: batch {} vs run {}",
+            b.name,
+            b.estimate,
+            r.estimate
+        );
+        let (bv, rv) = (b.variance.unwrap(), r.variance.unwrap());
+        assert!(
+            close(bv, rv),
+            "{what} {}: batch var {bv} vs run {rv}",
+            b.name
+        );
+    }
+}
+
+/// The one-shot batch estimator drains the stream `run()` opens, so for a
+/// fixed seed it reads the very sample a run to exhaustion reads.
+#[test]
+fn batch_equals_run_to_exhaustion() {
+    let engine = Engine::new(catalog());
+    let aggs = || {
+        vec![
+            AggSpec::sum(col("v"), "s"),
+            AggSpec::count_star("n"),
+            AggSpec::avg(col("v"), "a"),
+        ]
+    };
+    let bernoulli = |p| SamplingMethod::Bernoulli { p };
+    let scalar = LogicalPlan::scan("t")
+        .sample(bernoulli(0.3))
+        .aggregate(aggs());
+    let wor = LogicalPlan::scan("t")
+        .sample(SamplingMethod::Wor { size: 100 })
+        .aggregate(aggs());
+    let join = LogicalPlan::scan("t")
+        .sample(bernoulli(0.5))
+        .join_on(
+            LogicalPlan::scan("d").sample(bernoulli(0.5)),
+            col("k").eq(col("dk")),
+        )
+        .aggregate(vec![AggSpec::sum(col("w"), "s"), AggSpec::count_star("n")]);
+    let union = LogicalPlan::scan("t")
+        .sample(bernoulli(0.4))
+        .union_samples(LogicalPlan::scan("t").sample(bernoulli(0.4)))
+        .aggregate(aggs());
+    let grouped = (scalar.clone(), vec![col("s")]);
+    let cases = [
+        ("scalar", (scalar, vec![])),
+        ("grouped", grouped),
+        ("wor100", (wor, vec![])),
+        ("join", (join, vec![])),
+        ("union", (union, vec![])),
+    ];
+    for (name, (plan, keys)) in cases {
+        for jobs in [1usize, 4] {
+            let query = || {
+                engine
+                    .session()
+                    .query_plan(&plan)
+                    .group_by(keys.clone())
+                    .seed(9)
+                    .chunk_rows(64)
+                    .jobs(jobs)
+            };
+            let (batch, run) = (query().batch(), query().run());
+            if name == "union" && jobs > 1 {
+                // A union's lineage dedup cannot be partitioned: both
+                // terminals refuse it alike.
+                let (b, r) = (batch.unwrap_err(), run.unwrap_err());
+                assert_eq!(b.to_string(), r.to_string());
+                continue;
+            }
+            let (batch, run) = (batch.unwrap(), run.unwrap());
+            assert_eq!(run.reason, StopReason::Exhausted);
+            let what = format!("{name} at jobs={jobs}");
+            match (&batch, &run.snapshot) {
+                (BatchOutput::Scalar(b), Snapshot::Scalar(r)) => {
+                    assert_eq!(b.result_rows, r.rows, "{what}");
+                    assert_same_estimates(&what, &b.aggs, &r.aggs);
+                }
+                (BatchOutput::Grouped(b), Snapshot::Grouped(r)) => {
+                    assert_eq!(b.result_rows, r.rows, "{what}");
+                    assert_eq!(b.groups.len(), r.groups.len(), "{what}");
+                    for (bg, rg) in b.groups.iter().zip(&r.groups) {
+                        assert_eq!(bg.key, rg.key, "{what}");
+                        assert_eq!(bg.sample_rows, rg.sample_rows, "{what}");
+                        assert_same_estimates(&what, &bg.aggs, &rg.aggs);
+                    }
+                }
+                _ => panic!("{what}: batch and run disagree on the result shape"),
+            }
+        }
+    }
+}
+
+/// A progressive run of the scalar `plan` (`QueryBuilder::run_with`).
+fn run(
+    plan: &LogicalPlan,
+    catalog: &Catalog,
+    opts: &QueryOptions,
+    mut on_snapshot: impl FnMut(&ProgressSnapshot),
+) -> Result<OnlineResult, sampling_algebra::online::Error> {
+    let query = Engine::new(catalog.clone()).session().query_plan(plan);
+    let r = query
+        .options(opts.clone())
+        .run_with(|s| on_snapshot(s.as_scalar().expect("scalar plan")))?;
+    Ok(OnlineResult {
+        reason: r.reason,
+        snapshot: r.snapshot.as_scalar().expect("scalar plan").clone(),
+        chunks: r.chunks,
+        analysis: r.analysis,
+    })
 }

@@ -1,5 +1,3 @@
-#![allow(deprecated)] // exercises the pre-Engine API on purpose
-
 //! Statistical validation of the estimator across repeated sampled
 //! executions: unbiasedness of the point estimate (Theorem 1), unbiasedness
 //! of the variance estimate (the Section 6.3 `Ŷ_S` recursion), empirical
@@ -55,13 +53,14 @@ fn join_plan() -> LogicalPlan {
 fn run_trials(plan: &LogicalPlan, cat: &Catalog, trials: u64) -> Vec<ApproxResult> {
     (0..trials)
         .map(|seed| {
-            approx_query(
+            batch(
                 plan,
                 cat,
-                &ApproxOptions {
+                &QueryOptions {
                     seed,
                     confidence: 0.95,
                     subsample_target: None,
+                    ..Default::default()
                 },
             )
             .unwrap()
@@ -182,13 +181,14 @@ fn subsampled_variance_estimator_tracks_oracle() {
     let trials = 200;
     let mean_var: f64 = (0..trials)
         .map(|seed| {
-            approx_query(
+            batch(
                 &plan,
                 &cat,
-                &ApproxOptions {
+                &QueryOptions {
                     seed,
                     confidence: 0.95,
                     subsample_target: Some(150),
+                    ..Default::default()
                 },
             )
             .unwrap()
@@ -283,4 +283,15 @@ fn union_of_two_samples_analyzed_correctly() {
         "union coverage {}",
         covered as f64 / trials as f64
     );
+}
+
+/// The one-shot batch estimate of the scalar `plan` (`QueryBuilder::batch`).
+fn batch(
+    plan: &LogicalPlan,
+    catalog: &Catalog,
+    opts: &QueryOptions,
+) -> Result<ApproxResult, sampling_algebra::online::Error> {
+    let query = Engine::new(catalog.clone()).session().query_plan(plan);
+    let out = query.options(opts.clone()).batch()?;
+    Ok(out.as_scalar().expect("scalar plan").clone())
 }

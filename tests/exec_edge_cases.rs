@@ -1,5 +1,3 @@
-#![allow(deprecated)] // exercises the pre-Engine API on purpose
-
 //! Executor and estimator edge cases: empty inputs, extreme values,
 //! operator interleavings, and plan shapes at the boundaries of what the
 //! engine supports.
@@ -31,7 +29,7 @@ fn empty_table_through_whole_pipeline() {
     let plan = LogicalPlan::scan("empty")
         .sample(SamplingMethod::Bernoulli { p: 0.5 })
         .aggregate(vec![AggSpec::sum(col("v"), "s"), AggSpec::count_star("n")]);
-    let r = approx_query(&plan, &cat, &ApproxOptions::default()).unwrap();
+    let r = batch(&plan, &cat, &QueryOptions::default()).unwrap();
     assert_eq!(r.aggs[0].estimate, 0.0);
     assert_eq!(r.aggs[1].estimate, 0.0);
     assert_eq!(r.result_rows, 0);
@@ -48,7 +46,7 @@ fn join_with_empty_side_yields_zero() {
             col("t.k").eq(col("e.k")),
         )
         .aggregate(vec![AggSpec::count_star("n")]);
-    let r = approx_query(&plan, &cat, &ApproxOptions::default()).unwrap();
+    let r = batch(&plan, &cat, &QueryOptions::default()).unwrap();
     assert_eq!(r.aggs[0].estimate, 0.0);
 }
 
@@ -65,13 +63,14 @@ fn projection_between_sample_and_aggregate() {
     let trials = 120u64;
     let mean: f64 = (0..trials)
         .map(|seed| {
-            approx_query(
+            batch(
                 &plan,
                 &cat,
-                &ApproxOptions {
+                &QueryOptions {
                     seed,
                     confidence: 0.95,
                     subsample_target: None,
+                    ..Default::default()
                 },
             )
             .unwrap()
@@ -134,10 +133,10 @@ fn negative_and_cancelling_values() {
     let plan = LogicalPlan::scan("pm")
         .sample(SamplingMethod::Bernoulli { p: 0.5 })
         .aggregate(vec![AggSpec::sum(col("v"), "s")]);
-    let r = approx_query(
+    let r = batch(
         &plan,
         &cat,
-        &ApproxOptions {
+        &QueryOptions {
             seed: 3,
             ..Default::default()
         },
@@ -166,7 +165,7 @@ fn aliased_same_table_join_is_analyzable() {
     assert_eq!(analysis.schema.n(), 2);
     assert!((analysis.gus.a() - 0.25).abs() < 1e-12);
     // Executes fine too.
-    let r = approx_query(&plan, &cat, &ApproxOptions::default()).unwrap();
+    let r = batch(&plan, &cat, &QueryOptions::default()).unwrap();
     assert!(r.aggs[0].estimate >= 0.0);
 }
 
@@ -176,7 +175,7 @@ fn wor_of_entire_table_is_exact() {
     let plan = LogicalPlan::scan("t")
         .sample(SamplingMethod::Wor { size: 100 })
         .aggregate(vec![AggSpec::sum(col("v"), "s")]);
-    let r = approx_query(&plan, &cat, &ApproxOptions::default()).unwrap();
+    let r = batch(&plan, &cat, &QueryOptions::default()).unwrap();
     let exact = exact_query(&plan, &cat).unwrap()[0];
     assert!((r.aggs[0].estimate - exact).abs() < 1e-9);
     assert!(r.aggs[0].variance.unwrap() < 1e-6);
@@ -191,7 +190,7 @@ fn quantile_on_count_and_avg() {
             AggSpec::count_star("n").with_quantile(0.9),
             AggSpec::avg(col("v"), "a").with_quantile(0.9),
         ]);
-    let r = approx_query(&plan, &cat, &ApproxOptions::default()).unwrap();
+    let r = batch(&plan, &cat, &QueryOptions::default()).unwrap();
     for a in &r.aggs {
         let q = a.quantile_bound.unwrap();
         assert!(q >= a.estimate, "0.9-quantile below the point estimate");
@@ -205,5 +204,16 @@ fn zero_probability_sampler_estimate_degenerate() {
         .sample(SamplingMethod::Bernoulli { p: 0.0 })
         .aggregate(vec![AggSpec::sum(col("v"), "s")]);
     // a = 0: nothing can be estimated; surfaced as an error, not a panic.
-    assert!(approx_query(&plan, &cat, &ApproxOptions::default()).is_err());
+    assert!(batch(&plan, &cat, &QueryOptions::default()).is_err());
+}
+
+/// The one-shot batch estimate of the scalar `plan` (`QueryBuilder::batch`).
+fn batch(
+    plan: &LogicalPlan,
+    catalog: &Catalog,
+    opts: &QueryOptions,
+) -> Result<ApproxResult, sampling_algebra::online::Error> {
+    let query = Engine::new(catalog.clone()).session().query_plan(plan);
+    let out = query.options(opts.clone()).batch()?;
+    Ok(out.as_scalar().expect("scalar plan").clone())
 }

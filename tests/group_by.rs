@@ -1,10 +1,7 @@
-#![allow(deprecated)] // exercises the pre-Engine API on purpose
-
 //! GROUP BY estimation end to end: SQL with `GROUP BY` → per-group
 //! estimates with per-group confidence intervals, validated against exact
 //! per-group answers on TPC-H data.
 
-use sampling_algebra::exec::{approx_group_query, exact_group_query};
 use sampling_algebra::prelude::*;
 use sampling_algebra::sql::plan_grouped_sql;
 
@@ -25,14 +22,15 @@ fn group_by_returnflag_coverage() {
     let exact = exact_group_query(&plan, &group_by, &cat).unwrap();
     assert_eq!(exact.len(), 3); // A, N, R
 
-    let r = approx_group_query(
+    let r = batch_grouped(
         &plan,
         &group_by,
         &cat,
-        &ApproxOptions {
+        &QueryOptions {
             seed: 5,
             confidence: 0.95,
             subsample_target: None,
+            ..Default::default()
         },
     )
     .unwrap();
@@ -71,14 +69,15 @@ fn group_by_unbiased_per_group() {
     let trials = 150u64;
     let mut sums: std::collections::BTreeMap<Vec<Value>, f64> = Default::default();
     for seed in 0..trials {
-        let r = approx_group_query(
+        let r = batch_grouped(
             &plan,
             &group_by,
             &cat,
-            &ApproxOptions {
+            &QueryOptions {
                 seed,
                 confidence: 0.95,
                 subsample_target: None,
+                ..Default::default()
             },
         )
         .unwrap();
@@ -109,14 +108,15 @@ fn group_by_on_sampled_join() {
     .unwrap();
     let exact = exact_group_query(&plan, &group_by, &cat).unwrap();
     assert_eq!(exact.len(), 5); // 5 priorities
-    let r = approx_group_query(
+    let r = batch_grouped(
         &plan,
         &group_by,
         &cat,
-        &ApproxOptions {
+        &QueryOptions {
             seed: 11,
             confidence: 0.95,
             subsample_target: None,
+            ..Default::default()
         },
     )
     .unwrap();
@@ -168,14 +168,15 @@ fn group_by_expression_keys() {
         &cat,
     )
     .unwrap();
-    let r = approx_group_query(
+    let r = batch_grouped(
         &plan,
         &group_by,
         &cat,
-        &ApproxOptions {
+        &QueryOptions {
             seed: 2,
             confidence: 0.95,
             subsample_target: None,
+            ..Default::default()
         },
     )
     .unwrap();
@@ -185,4 +186,19 @@ fn group_by_expression_keys() {
         let truth = exact[&g.key][0];
         assert!(g.aggs[0].ci_chebyshev.as_ref().unwrap().contains(truth));
     }
+}
+
+/// The one-shot batch estimate of `plan` grouped by `group_by`.
+fn batch_grouped(
+    plan: &LogicalPlan,
+    group_by: &[Expr],
+    catalog: &Catalog,
+    opts: &QueryOptions,
+) -> Result<GroupedApproxResult, sampling_algebra::online::Error> {
+    let query = Engine::new(catalog.clone()).session().query_plan(plan);
+    let out = query
+        .options(opts.clone())
+        .group_by(group_by.to_vec())
+        .batch()?;
+    Ok(out.as_grouped().expect("grouped plan").clone())
 }

@@ -203,6 +203,33 @@ fn instrumentation_never_perturbs_the_realized_sample() {
     }
 }
 
+/// A one-shot batch query drains the same instrumented stream a run does:
+/// its sample rows land in `sa_rows_consumed_total`, its scan in the
+/// `sa_scan_*` series, and a rejected option set counts as a query error
+/// exactly as it does for `run()`.
+#[test]
+fn batch_query_reports_consumed_and_scanned_rows() {
+    let rows = 4096u64;
+    let engine = Engine::builder(catalog(rows as i64)).metrics(true).build();
+    let out = engine.session().query(SQL).seed(11).batch().unwrap();
+    let sample_rows = out.as_scalar().unwrap().result_rows;
+    assert!(sample_rows > 0 && sample_rows < rows);
+    let m = engine.metrics();
+    assert_eq!(m.counter("sa_batch_queries_total"), Some(1));
+    assert_eq!(m.counter("sa_rows_consumed_total"), Some(sample_rows));
+    assert_eq!(m.counter("sa_scan_rows_scanned_total"), Some(rows));
+
+    let err = engine.session().query(SQL).jobs(0).batch().unwrap_err();
+    assert!(
+        matches!(err, sampling_algebra::online::Error::InvalidOptions(_)),
+        "{err}"
+    );
+    let m = engine.metrics();
+    assert_eq!(m.counter("sa_batch_queries_total"), Some(2));
+    assert_eq!(m.counter("sa_query_errors_total"), Some(1));
+    assert_eq!(m.counter("sa_rows_consumed_total"), Some(sample_rows));
+}
+
 /// Disabled registries stay invisible: no counters, no events, an empty
 /// dump — and the handles still work as no-ops.
 #[test]

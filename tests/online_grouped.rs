@@ -1,12 +1,9 @@
-#![allow(deprecated)] // exercises the pre-Engine API on purpose
-
 //! Grouped online aggregation end to end: statistical coverage of the
 //! per-group confidence intervals under skew, and the acceptance pin for
 //! `GROUP BY … WITHIN ε PERCENT CONFIDENCE γ` — early stopping once every
 //! group meets the target, batch-equality at forced exhaustion.
 
 use sampling_algebra::expr::{bind, eval};
-use sampling_algebra::online::{run_online_grouped, run_online_grouped_sql, GroupedOnlineOptions};
 use sampling_algebra::prelude::*;
 use sampling_algebra::sql::plan_online_grouped_sql;
 use sampling_algebra::tpch::Zipf;
@@ -54,16 +51,13 @@ fn per_group_chebyshev_coverage_under_zipf_skew() {
     let mut intervals = 0u64;
     let mut covered = 0u64;
     for seed in 0..trials {
-        let opts = GroupedOnlineOptions {
-            online: OnlineOptions {
-                seed,
-                chunk_rows: 1024,
-                confidence: 0.99,
-                ..Default::default()
-            },
-            ci_top_k: None,
+        let opts = QueryOptions {
+            seed,
+            chunk_rows: 1024,
+            confidence: 0.99,
+            ..Default::default()
         };
-        let r = run_online_grouped(&plan, &[col("g")], &catalog, &opts, |_| {}).unwrap();
+        let r = run_grouped(&plan, &[col("g")], &catalog, &opts, |_| {}).unwrap();
         assert_eq!(r.reason, StopReason::Exhausted);
         for g in &r.snapshot.groups {
             let id = g.key[0].as_i64().unwrap() as usize;
@@ -91,25 +85,30 @@ fn per_group_chebyshev_coverage_under_zipf_skew() {
 #[test]
 fn acceptance_query_stops_early_once_every_group_converges() {
     let catalog = generate(&TpchConfig::scale(0.02).with_seed(42));
-    let opts = GroupedOnlineOptions {
-        online: OnlineOptions {
-            seed: 42,
-            chunk_rows: 2000,
-            ..Default::default()
-        },
-        ci_top_k: None,
+    let opts = QueryOptions {
+        seed: 42,
+        chunk_rows: 2000,
+        ..Default::default()
     };
     let mut snapshots = 0u64;
-    let r = run_online_grouped_sql(
-        "SELECT l_returnflag, SUM(l_extendedprice) AS s \
-         FROM lineitem TABLESAMPLE (10 PERCENT) \
-         GROUP BY l_returnflag \
-         WITHIN 5 PERCENT CONFIDENCE 95",
-        &catalog,
-        &opts,
-        |_| snapshots += 1,
-    )
-    .unwrap();
+    let engine = Engine::new(catalog.clone());
+    let r = engine
+        .session()
+        .query(
+            "SELECT l_returnflag, SUM(l_extendedprice) AS s \
+             FROM lineitem TABLESAMPLE (10 PERCENT) \
+             GROUP BY l_returnflag \
+             WITHIN 5 PERCENT CONFIDENCE 95",
+        )
+        .options(opts)
+        .run_with(|_| snapshots += 1)
+        .unwrap();
+    let r = GroupedOnlineResult {
+        reason: r.reason,
+        snapshot: r.snapshot.as_grouped().unwrap().clone(),
+        chunks: r.chunks,
+        analysis: r.analysis,
+    };
     assert_eq!(r.reason, StopReason::CiConverged);
     assert_eq!(snapshots, r.chunks);
     assert_eq!(r.snapshot.groups.len(), 3, "A, N, R");
@@ -153,16 +152,13 @@ fn acceptance_query_matches_batch_grouped_estimator_at_exhaustion() {
     )
     .unwrap();
     // Force exhaustion: ignore the SQL rule, run the plan-level driver dry.
-    let opts = GroupedOnlineOptions {
-        online: OnlineOptions {
-            seed: 9,
-            chunk_rows: 1500,
-            rule: StoppingRule::exhaustive(),
-            ..Default::default()
-        },
-        ci_top_k: None,
+    let opts = QueryOptions {
+        seed: 9,
+        chunk_rows: 1500,
+        rule: StoppingRule::exhaustive(),
+        ..Default::default()
     };
-    let online = run_online_grouped(&plan, &group_by, &catalog, &opts, |_| {}).unwrap();
+    let online = run_grouped(&plan, &group_by, &catalog, &opts, |_| {}).unwrap();
     assert_eq!(online.reason, StopReason::Exhausted);
 
     // Batch grouped estimation over the SAME sample realization: collect
@@ -223,4 +219,25 @@ fn acceptance_query_matches_batch_grouped_estimator_at_exhaustion() {
         );
         assert_eq!(g.sample_rows, moments.count);
     }
+}
+
+/// A progressive run of `plan` grouped by `group_by`.
+fn run_grouped(
+    plan: &LogicalPlan,
+    group_by: &[Expr],
+    catalog: &Catalog,
+    opts: &QueryOptions,
+    mut on_snapshot: impl FnMut(&GroupedProgressSnapshot),
+) -> Result<GroupedOnlineResult, sampling_algebra::online::Error> {
+    let query = Engine::new(catalog.clone()).session().query_plan(plan);
+    let r = query
+        .options(opts.clone())
+        .group_by(group_by.to_vec())
+        .run_with(|s| on_snapshot(s.as_grouped().expect("grouped plan")))?;
+    Ok(GroupedOnlineResult {
+        reason: r.reason,
+        snapshot: r.snapshot.as_grouped().expect("grouped plan").clone(),
+        chunks: r.chunks,
+        analysis: r.analysis,
+    })
 }

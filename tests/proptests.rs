@@ -1,5 +1,3 @@
-#![allow(deprecated)] // exercises the pre-Engine API on purpose
-
 //! Property-based tests (proptest) on the invariants DESIGN.md §5 lists:
 //! algebra laws of GUS parameters, Möbius transform identities, estimator
 //! invariances, and a differential test of the rewriter against direct
@@ -10,7 +8,7 @@ use proptest::prelude::*;
 use sa_core::coeffs::{moebius_transform, moebius_transform_naive, zeta_transform};
 use sa_core::{GroupedMomentAccumulator, GroupedMoments, LineageSchema, MomentAccumulator};
 use sa_storage::{Catalog, DataType, Field, Schema, TableBuilder};
-use sampling_algebra::exec::{agg_results_from_report, approx_group_query, layout_dims};
+use sampling_algebra::exec::{agg_results_from_report, layout_dims};
 use sampling_algebra::expr::{bind, eval};
 use sampling_algebra::prelude::*;
 
@@ -373,21 +371,24 @@ proptest! {
             .aggregate(vec![AggSpec::sum(col("v"), "s"), AggSpec::count_star("n")]);
 
         // The batch grouped driver's answer…
-        let batch = approx_group_query(
-            &plan,
-            &[col("g")],
-            &catalog,
-            &ApproxOptions { seed, confidence: 0.95, subsample_target: None },
-        )
-        .unwrap();
-        // …and the SAME realized sample as raw rows (approx_group_query
-        // executes the aggregate input with this very seed).
+        let opts = QueryOptions { seed, confidence: 0.95, ..Default::default() };
+        let batch = Engine::new(catalog.clone())
+            .session()
+            .query_plan(&plan)
+            .options(opts)
+            .group_by(vec![col("g")])
+            .batch()
+            .unwrap();
+        let batch = batch.as_grouped().unwrap();
+        // …and the SAME realized sample as raw rows (the batch drains the
+        // aggregate input's stream with this very seed).
         let LogicalPlan::Aggregate { aggs, input } = &plan else { unreachable!() };
-        let rs = execute(input, &catalog, &ExecOptions { seed, ..Default::default() }).unwrap();
-        let layout = layout_dims(aggs, &rs.schema).unwrap();
-        let key_expr = bind(&col("g"), &rs.schema).unwrap();
-        let keyed: Vec<(Vec<sa_storage::Value>, &sa_exec::Row)> = rs
-            .rows
+        let stream = open_stream(input, &catalog, &ExecOptions { seed, ..Default::default() }).unwrap();
+        let schema = stream.schema().clone();
+        let rows = stream.collect_rows(64).unwrap();
+        let layout = layout_dims(aggs, &schema).unwrap();
+        let key_expr = bind(&col("g"), &schema).unwrap();
+        let keyed: Vec<(Vec<sa_storage::Value>, &sa_exec::Row)> = rows
             .iter()
             .map(|row| (vec![eval(&key_expr, &row.values).unwrap()], row))
             .collect();

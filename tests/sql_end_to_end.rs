@@ -1,5 +1,3 @@
-#![allow(deprecated)] // exercises the pre-Engine API on purpose
-
 //! End-to-end tests over TPC-H-style data: the paper's introduction query
 //! and APPROX view, AQUA-style correlated FK sampling, SYSTEM sampling, and
 //! multi-aggregate queries — all through SQL text.
@@ -22,13 +20,14 @@ fn paper_query1_estimate_within_chebyshev() {
     .unwrap();
     let exact = exact_query(&plan, &cat).unwrap()[0];
     assert!(exact > 0.0);
-    let r = approx_query(
+    let r = batch(
         &plan,
         &cat,
-        &ApproxOptions {
+        &QueryOptions {
             seed: 3,
             confidence: 0.95,
             subsample_target: None,
+            ..Default::default()
         },
     )
     .unwrap();
@@ -62,13 +61,14 @@ fn approx_view_lo_hi_bracket_truth_usually() {
     let mut bracketed = 0;
     let trials = 40;
     for seed in 0..trials {
-        let r = approx_query(
+        let r = batch(
             &plan,
             &cat,
-            &ApproxOptions {
+            &QueryOptions {
                 seed,
                 confidence: 0.95,
                 subsample_target: None,
+                ..Default::default()
             },
         )
         .unwrap();
@@ -113,13 +113,14 @@ fn aqua_correlated_fk_sampling_equivalence() {
     let trials = 60;
     let mean: f64 = (0..trials)
         .map(|seed| {
-            approx_query(
+            batch(
                 &plan,
                 &cat,
-                &ApproxOptions {
+                &QueryOptions {
                     seed,
                     confidence: 0.95,
                     subsample_target: None,
+                    ..Default::default()
                 },
             )
             .unwrap()
@@ -148,13 +149,14 @@ fn system_sampling_via_sql() {
     let trials = 80;
     let mean: f64 = (0..trials)
         .map(|seed| {
-            approx_query(
+            batch(
                 &plan,
                 &cat,
-                &ApproxOptions {
+                &QueryOptions {
                     seed,
                     confidence: 0.95,
                     subsample_target: None,
+                    ..Default::default()
                 },
             )
             .unwrap()
@@ -179,13 +181,14 @@ fn multi_aggregate_select_list() {
     )
     .unwrap();
     let exact = exact_query(&plan, &cat).unwrap();
-    let r = approx_query(
+    let r = batch(
         &plan,
         &cat,
-        &ApproxOptions {
+        &QueryOptions {
             seed: 5,
             confidence: 0.95,
             subsample_target: None,
+            ..Default::default()
         },
     )
     .unwrap();
@@ -215,13 +218,14 @@ fn three_table_join_through_sql() {
     assert_eq!(analysis.schema.n(), 3);
     assert!((analysis.gus.a() - 0.1).abs() < 1e-12); // 0.2 · 1 · 0.5
     let exact = exact_query(&plan, &cat).unwrap()[0];
-    let r = approx_query(
+    let r = batch(
         &plan,
         &cat,
-        &ApproxOptions {
+        &QueryOptions {
             seed: 7,
             confidence: 0.95,
             subsample_target: None,
+            ..Default::default()
         },
     )
     .unwrap();
@@ -256,13 +260,14 @@ fn skewed_data_still_covered_by_chebyshev() {
     let trials = 100;
     let covered = (0..trials)
         .filter(|seed| {
-            approx_query(
+            batch(
                 &plan,
                 &cat,
-                &ApproxOptions {
+                &QueryOptions {
                     seed: *seed,
                     confidence: 0.99,
                     subsample_target: None,
+                    ..Default::default()
                 },
             )
             .unwrap()
@@ -277,4 +282,15 @@ fn skewed_data_still_covered_by_chebyshev() {
         covered as f64 / trials as f64 >= 0.96,
         "covered {covered}/{trials}"
     );
+}
+
+/// The one-shot batch estimate of the scalar `plan` (`QueryBuilder::batch`).
+fn batch(
+    plan: &LogicalPlan,
+    catalog: &Catalog,
+    opts: &QueryOptions,
+) -> Result<ApproxResult, sampling_algebra::online::Error> {
+    let query = Engine::new(catalog.clone()).session().query_plan(plan);
+    let out = query.options(opts.clone()).batch()?;
+    Ok(out.as_scalar().expect("scalar plan").clone())
 }

@@ -1,5 +1,3 @@
-#![allow(deprecated)] // run_online is the most direct differential harness
-
 //! InRam vs memory-mapped backend equivalence — the differential layer the
 //! out-of-core storage hangs on.
 //!
@@ -20,7 +18,6 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 
 use sampling_algebra::exec::{open_stream, ExecOptions, Row};
-use sampling_algebra::online::{run_online, OnlineOptions};
 use sampling_algebra::prelude::*;
 use sampling_algebra::storage::{open_catalog_dir, persist_catalog};
 
@@ -167,10 +164,10 @@ proptest! {
         //    same worker count.
         let plan = input.aggregate(vec![AggSpec::sum(agg_col, "s")]);
         let online = |c: &Catalog| {
-            run_online(
+            run(
                 &plan,
                 c,
-                &OnlineOptions {
+                &QueryOptions {
                     seed,
                     chunk_rows: hint_a,
                     parallelism: jobs,
@@ -214,4 +211,23 @@ fn mapped_reopen_replays_byte_identical() {
     let second = collect(&plan, &mapped_catalog(), &opts, 17);
     assert!(!first.is_empty());
     assert_eq!(first, second);
+}
+
+/// A progressive run of the scalar `plan` (`QueryBuilder::run_with`).
+fn run(
+    plan: &LogicalPlan,
+    catalog: &Catalog,
+    opts: &QueryOptions,
+    mut on_snapshot: impl FnMut(&ProgressSnapshot),
+) -> Result<OnlineResult, sampling_algebra::online::Error> {
+    let query = Engine::new(catalog.clone()).session().query_plan(plan);
+    let r = query
+        .options(opts.clone())
+        .run_with(|s| on_snapshot(s.as_scalar().expect("scalar plan")))?;
+    Ok(OnlineResult {
+        reason: r.reason,
+        snapshot: r.snapshot.as_scalar().expect("scalar plan").clone(),
+        chunks: r.chunks,
+        analysis: r.analysis,
+    })
 }

@@ -1,5 +1,3 @@
-#![allow(deprecated)] // exercises the pre-Engine API on purpose
-
 //! Proposition 7 end to end: the `UnionSamples` plan operator — combining
 //! two independent samples of the same expression, deduplicated by lineage,
 //! analyzed with the union formula
@@ -66,7 +64,7 @@ fn union_execution_deduplicates_by_lineage() {
     let LogicalPlan::Aggregate { input, .. } = union_plan(0.6, 0.6) else {
         panic!()
     };
-    let rs = execute(
+    let rows = open_stream(
         &input,
         &cat,
         &ExecOptions {
@@ -74,9 +72,11 @@ fn union_execution_deduplicates_by_lineage() {
             ..Default::default()
         },
     )
+    .unwrap()
+    .collect_rows(256)
     .unwrap();
     // No duplicate lineage.
-    let mut ids: Vec<u64> = rs.rows.iter().map(|r| r.lineage[0]).collect();
+    let mut ids: Vec<u64> = rows.iter().map(|r| r.lineage[0]).collect();
     let before = ids.len();
     ids.sort_unstable();
     ids.dedup();
@@ -95,13 +95,14 @@ fn union_estimate_unbiased_and_covered() {
     let mut mean = 0.0;
     let mut covered = 0;
     for seed in 0..trials {
-        let r = approx_query(
+        let r = batch(
             &plan,
             &cat,
-            &ApproxOptions {
+            &QueryOptions {
                 seed,
                 confidence: 0.95,
                 subsample_target: None,
+                ..Default::default()
             },
         )
         .unwrap();
@@ -132,13 +133,14 @@ fn union_of_wor_samples() {
     let trials = 200u64;
     let mean: f64 = (0..trials)
         .map(|seed| {
-            approx_query(
+            batch(
                 &plan,
                 &cat,
-                &ApproxOptions {
+                &QueryOptions {
                     seed,
                     confidence: 0.95,
                     subsample_target: None,
+                    ..Default::default()
                 },
             )
             .unwrap()
@@ -170,13 +172,14 @@ fn union_under_join_composes() {
     let trials = 200u64;
     let mean: f64 = (0..trials)
         .map(|seed| {
-            approx_query(
+            batch(
                 &plan,
                 &cat,
-                &ApproxOptions {
+                &QueryOptions {
                     seed,
                     confidence: 0.95,
                     subsample_target: None,
+                    ..Default::default()
                 },
             )
             .unwrap()
@@ -242,13 +245,14 @@ fn union_same_sampling_twice_matches_single_equivalent_bernoulli() {
     let avg_var = |plan: &LogicalPlan| -> f64 {
         (0..trials)
             .map(|seed| {
-                approx_query(
+                batch(
                     plan,
                     &cat,
-                    &ApproxOptions {
+                    &QueryOptions {
                         seed,
                         confidence: 0.95,
                         subsample_target: None,
+                        ..Default::default()
                     },
                 )
                 .unwrap()
@@ -283,10 +287,10 @@ fn union_mid_scan_chebyshev_coverage_at_99() {
     let mut covered = 0u32;
     for trial in 0..100u64 {
         let budget = if trial % 2 == 0 { 300 } else { 700 };
-        let r = run_online(
+        let r = run(
             &plan,
             &cat,
-            &OnlineOptions {
+            &QueryOptions {
                 seed: trial,
                 chunk_rows: 64,
                 confidence: 0.99,
@@ -310,4 +314,34 @@ fn union_mid_scan_chebyshev_coverage_at_99() {
         }
     }
     assert!(covered >= 96, "coverage {covered}/100 at 99% Chebyshev");
+}
+
+/// The one-shot batch estimate of the scalar `plan` (`QueryBuilder::batch`).
+fn batch(
+    plan: &LogicalPlan,
+    catalog: &Catalog,
+    opts: &QueryOptions,
+) -> Result<ApproxResult, sampling_algebra::online::Error> {
+    let query = Engine::new(catalog.clone()).session().query_plan(plan);
+    let out = query.options(opts.clone()).batch()?;
+    Ok(out.as_scalar().expect("scalar plan").clone())
+}
+
+/// A progressive run of the scalar `plan` (`QueryBuilder::run_with`).
+fn run(
+    plan: &LogicalPlan,
+    catalog: &Catalog,
+    opts: &QueryOptions,
+    mut on_snapshot: impl FnMut(&ProgressSnapshot),
+) -> Result<OnlineResult, sampling_algebra::online::Error> {
+    let query = Engine::new(catalog.clone()).session().query_plan(plan);
+    let r = query
+        .options(opts.clone())
+        .run_with(|s| on_snapshot(s.as_scalar().expect("scalar plan")))?;
+    Ok(OnlineResult {
+        reason: r.reason,
+        snapshot: r.snapshot.as_scalar().expect("scalar plan").clone(),
+        chunks: r.chunks,
+        analysis: r.analysis,
+    })
 }
