@@ -67,7 +67,8 @@ pub struct ApproxResult {
 pub struct DimLayout {
     /// For each agg: (dimension of the numerator, optional denominator dim).
     per_agg: Vec<(usize, Option<usize>)>,
-    /// Bound argument expression per dimension (`None` = constant 1).
+    /// Bound argument expression per dimension (`None` = constant 1, the
+    /// `COUNT(*)` indicator).
     dim_exprs: Vec<Option<Expr>>,
     /// For COUNT(expr) dims: count non-null rather than sum.
     dim_is_count: Vec<bool>,
@@ -86,8 +87,9 @@ impl DimLayout {
 }
 
 /// Map aggregate specs onto SBox dimensions, binding their argument
-/// expressions against the sampled result's `schema`. `AVG` takes two
-/// dimensions (numerator and denominator of the delta-method ratio).
+/// expressions against the sampled result's `schema`. `AVG(expr)` takes two
+/// dimensions: the numerator `SUM(expr)` and the denominator `COUNT(expr)`
+/// of the delta-method ratio.
 pub fn layout_dims(aggs: &[AggSpec], schema: &sa_storage::Schema) -> Result<DimLayout> {
     let mut per_agg = Vec::with_capacity(aggs.len());
     let mut dim_exprs = Vec::new();
@@ -111,10 +113,13 @@ pub fn layout_dims(aggs: &[AggSpec], schema: &sa_storage::Schema) -> Result<DimL
                 let e = a.expr.as_ref().ok_or_else(|| {
                     ExecError::Unsupported("AVG requires an argument expression".into())
                 })?;
-                dim_exprs.push(Some(bind(e, schema)?));
+                // SQL's AVG divides by the non-NULL count: the denominator
+                // is COUNT(expr), not COUNT(*).
+                let e = bind(e, schema)?;
+                dim_exprs.push(Some(e.clone()));
                 dim_is_count.push(false);
                 let num = dim_exprs.len() - 1;
-                dim_exprs.push(None);
+                dim_exprs.push(Some(e));
                 dim_is_count.push(true);
                 per_agg.push((num, Some(dim_exprs.len() - 1)));
             }
@@ -129,12 +134,15 @@ pub fn layout_dims(aggs: &[AggSpec], schema: &sa_storage::Schema) -> Result<DimL
 
 /// The per-row aggregate vector `f(t)` of a result row under `layout`,
 /// evaluated by the `sa_expr` interpreter — the row-level reference the
-/// test suites check [`BatchDimEval`] against.
+/// test suites check [`BatchDimEval`] against. `COUNT(*)` dims are 1;
+/// `COUNT(expr)` dims, AVG denominators among them, are 1 when the argument
+/// is non-NULL and 0 otherwise; SUM dims (and AVG numerators) read NULL
+/// as 0.
 pub fn f_vector(layout: &DimLayout, row: &Row) -> Result<Vec<f64>> {
     let mut f = Vec::with_capacity(layout.dim_exprs.len());
     for (e, is_count) in layout.dim_exprs.iter().zip(&layout.dim_is_count) {
         let v = match e {
-            None => 1.0, // COUNT(*) / AVG denominator
+            None => 1.0, // COUNT(*)
             Some(e) => {
                 let val = eval_f64(e, &row.values)?;
                 if *is_count {
@@ -193,15 +201,15 @@ impl BatchDimEval {
     }
 
     /// The per-dimension `f` columns of a batch (`dims × rows`), with the
-    /// exact [`f_vector`] semantics: `COUNT(*)`/AVG-denominator dims are 1,
-    /// `COUNT(expr)` dims are the non-null indicator, SUM dims treat NULL
-    /// as 0.
+    /// exact [`f_vector`] semantics: `COUNT(*)` dims are 1, `COUNT(expr)`
+    /// dims (and so every AVG denominator) are the non-null indicator, SUM
+    /// dims treat NULL as 0.
     pub fn eval(&self, batch: &sa_storage::ColumnarBatch) -> Result<Vec<Vec<f64>>> {
         let rows = batch.rows();
         let mut out = Vec::with_capacity(self.kernels.len());
         for (k, is_count) in self.kernels.iter().zip(&self.is_count) {
             let col = match k {
-                None => vec![1.0; rows], // COUNT(*) / AVG denominator
+                None => vec![1.0; rows], // COUNT(*)
                 Some(k) => {
                     let (mut vals, validity) = k.eval_f64(batch).map_err(ExecError::Expr)?;
                     if *is_count {

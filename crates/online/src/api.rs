@@ -11,8 +11,8 @@ use sa_core::GusParams;
 use sa_exec::{ApproxResult, GroupedApproxResult};
 use sa_plan::{SoaAnalysis, StopReason, StoppingRule};
 
-use crate::driver::{OnlineResult, ProgressSnapshot};
-use crate::grouped::{GroupedOnlineResult, GroupedProgressSnapshot};
+use crate::driver::ProgressSnapshot;
+use crate::grouped::GroupedProgressSnapshot;
 
 /// Options for one query run through the [`crate::Engine`] (the grouped
 /// `ci_top_k` policy is a flat field that scalar runs simply ignore).
@@ -38,12 +38,17 @@ pub struct QueryOptions {
     /// GUS.
     pub scale_to_population: bool,
     /// Number of worker threads driving the sampled plan. `1` (the
-    /// default) runs the classic single-threaded loop — byte-identical
-    /// snapshots for a fixed seed, and the only mode that can attach to an
-    /// engine's shared scan. `0` is rejected.
+    /// default) runs one inline worker on the calling thread —
+    /// byte-identical snapshots for a fixed seed, and the only mode that
+    /// can attach to an engine's shared scan. `0` is rejected.
     pub parallelism: usize,
-    /// Grow the pull hint as the estimate stabilizes (see the driver
-    /// module docs). Default `false`.
+    /// Grow the pull hint as the estimate stabilizes: it starts at
+    /// `chunk_rows` and doubles, up to `chunk_rows × 64`, after every
+    /// snapshot whose worst relative CI half-width improved by less than
+    /// 10% on the previous one — fewer, larger snapshots once the estimate
+    /// has settled. Only the snapshot cadence changes, never the sample.
+    /// With `parallelism > 1` the workers keep a fixed `chunk_rows`.
+    /// Default `false`.
     pub adaptive_chunks: bool,
     /// Visit the base table's blocks in a seeded random permutation
     /// instead of physical order (`--shuffle-scan` in the CLI). The
@@ -200,28 +205,6 @@ pub struct QueryResult {
     pub chunks: u64,
     /// The SOA analysis (top GUS, lineage schema, rewrite trace).
     pub analysis: SoaAnalysis,
-}
-
-impl From<OnlineResult> for QueryResult {
-    fn from(r: OnlineResult) -> Self {
-        QueryResult {
-            reason: r.reason,
-            snapshot: Snapshot::Scalar(r.snapshot),
-            chunks: r.chunks,
-            analysis: r.analysis,
-        }
-    }
-}
-
-impl From<GroupedOnlineResult> for QueryResult {
-    fn from(r: GroupedOnlineResult) -> Self {
-        QueryResult {
-            reason: r.reason,
-            snapshot: Snapshot::Grouped(r.snapshot),
-            chunks: r.chunks,
-            analysis: r.analysis,
-        }
-    }
 }
 
 /// The outcome of a one-shot batch run ([`crate::QueryBuilder::batch`]):

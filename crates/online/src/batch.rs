@@ -3,38 +3,43 @@
 //! A batch query opens exactly the stream(s) a progressive run opens —
 //! through [`open_aggregate`], so it shares the option validation, the
 //! shared scan hub, the shuffle, the worker partitioning and the scan
-//! metrics — drains them to the end, pushes every sampled tuple into the
-//! batch moments ([`GroupedMoments`], one per group for `GROUP BY`), and
-//! reads the estimate out once under the plan GUS. One `(plan, seed)` is
-//! therefore one sample: the batch answer equals `run()` to exhaustion up
-//! to float associativity. With `parallelism = N` the N partitioned
-//! streams are drained in worker order on the calling thread; their union
-//! is the same sample the worker pool consumes.
+//! metrics — and runs them on the same worker pool under the exhaustive
+//! rule, reading the estimate out once, at the final tick, under the GUS
+//! that tick reads under. One `(plan, seed)` is therefore one sample: with
+//! one stream the batch answer equals `run()` to exhaustion bit for bit
+//! (same chunks, same accumulator, same readout); with `parallelism = N`
+//! it runs N worker threads and agrees up to the merge order's float
+//! associativity. A contained worker panic fails a batch query: it has no
+//! stop reason to report a smaller sample with.
 //!
 //! [`QueryOptions::subsample_target`] turns on the paper's Section 7
 //! optimization for scalar queries: the point estimate uses every tuple,
 //! while the `Ŷ_S` variance terms come from a deterministic lineage-hash
-//! sub-sample of about that many tuples.
+//! sub-sample of about that many tuples. The sub-sampling rate depends on
+//! the final sample size, so that run keeps its rows ([`KeptRows`]) and
+//! estimates in a post-pass.
 
-use sa_core::hash::FpMap;
-use sa_core::{
-    covariance_from_y, estimate_from_sample_moments, unbiased_y_hats, EstimateReport,
-    GroupedMoments, LineageBernoulli,
-};
-use sa_exec::{agg_results_from_report, ApproxResult, GroupEstimate, GroupedApproxResult};
-use sa_exec::{BatchDimEval, ChunkStream, ColumnarChunk, ExecError};
-use sa_expr::{compile, Expr};
-use sa_plan::{LogicalPlan, SoaAnalysis};
-use sa_storage::{Catalog, Value};
+use std::ops::ControlFlow;
+use std::time::Duration;
+
+use sa_core::{covariance_from_y, estimate_from_sample_moments, unbiased_y_hats};
+use sa_core::{EstimateReport, GroupedMoments, GusParams, LineageBernoulli};
+use sa_exec::{ApproxResult, ColumnarChunk, GroupEstimate, GroupedApproxResult};
+use sa_expr::Expr;
+use sa_plan::{LogicalPlan, SoaAnalysis, StopReason, StoppingRule};
+use sa_storage::Catalog;
 
 use crate::api::{BatchOutput, QueryOptions};
-use crate::driver::{open_aggregate, OpenedAggregate, RunCtx};
+use crate::driver::{open_aggregate, stop_reason, tick_gus, Aggregates, OpenedAggregate, RunCtx};
+use crate::error::Error;
+use crate::grouped::GroupedReadout;
+use crate::parallel::{run_worker_pool, Feed};
 use crate::Result;
 
 /// Run `plan` (grouped when `group_by` is non-empty) to the end of its
 /// sample and estimate once. Returns the output and the sample rows
 /// consumed.
-pub(crate) fn drive_batch(
+pub(crate) fn batch(
     plan: &LogicalPlan,
     group_by: &[Expr],
     catalog: &Catalog,
@@ -43,136 +48,126 @@ pub(crate) fn drive_batch(
 ) -> Result<(BatchOutput, u64)> {
     let OpenedAggregate {
         analysis,
-        aggs,
         streams,
-        layout,
+        aggs,
     } = open_aggregate(plan, catalog, opts, ctx, group_by, "batch")?;
-    let dim_eval = layout.compile_batch(streams[0].schema())?;
-    let keys = group_by
-        .iter()
-        .map(|e| compile(e, streams[0].schema()))
-        .collect::<sa_expr::Result<Vec<_>>>()
-        .map_err(ExecError::Expr)?;
-    let (n, dims) = (analysis.schema.n(), layout.dims());
-    let confidence = opts.rule.confidence_or(opts.confidence);
-    let mut lineage = vec![0u64; n];
-    let mut f = vec![0.0; dims];
+    if !group_by.is_empty() {
+        let readout = GroupedReadout::new(aggs, group_by, streams[0].schema(), opts)?;
+        let (acc, gus) = exhaust(&readout, &analysis, streams, opts, ctx)?;
+        let groups = readout
+            .groups(&acc, &gus)?
+            .0
+            .into_iter()
+            .map(|g| GroupEstimate {
+                key: g.key,
+                aggs: g.aggs,
+                sample_rows: g.sample_rows,
+            })
+            .collect();
+        let result = GroupedApproxResult {
+            group_exprs: readout.group_exprs.clone(),
+            groups,
+            analysis,
+            result_rows: acc.count(),
+        };
+        return Ok((BatchOutput::Grouped(result), acc.count()));
+    }
+    let (report, result_rows) = match opts.subsample_target {
+        None => {
+            let (acc, gus) = exhaust(&aggs, &analysis, streams, opts, ctx)?;
+            (acc.report(&gus)?, acc.count())
+        }
+        Some(target) => {
+            let (rows, _) = exhaust(&KeptRows(&aggs), &analysis, streams, opts, ctx)?;
+            let m = rows.len() as u64;
+            let report = subsampled_report(&analysis, aggs.layout.dims(), rows, target, opts.seed)?;
+            (report, m)
+        }
+    };
+    let result = ApproxResult {
+        aggs: aggs.results(&report),
+        result_rows,
+        variance_rows: report.m,
+        analysis,
+        report,
+    };
+    Ok((BatchOutput::Scalar(result), result_rows))
+}
 
-    if keys.is_empty() {
-        // With a Section 7 target the rows are kept until the sample size
-        // (and hence the sub-sampling rate) is known.
-        let mut acc = GroupedMoments::new(n, dims);
-        let mut kept: Option<Vec<(Vec<u64>, Vec<f64>)>> = opts.subsample_target.map(|_| Vec::new());
-        drain(streams, opts.chunk_rows, &dim_eval, |chunk, cols| {
-            for row in 0..chunk.rows() {
-                read_row(chunk, cols, row, &mut lineage, &mut f);
-                match &mut kept {
-                    Some(rows) => rows.push((lineage.clone(), f.clone())),
-                    None => acc.push(&lineage, &f)?,
+/// Run `feed` over every stream on the worker pool under the exhaustive
+/// rule, returning the final accumulator and the GUS of the final tick. A
+/// contained worker panic becomes an error.
+fn exhaust<F: Feed>(
+    feed: &F,
+    analysis: &SoaAnalysis,
+    streams: Vec<sa_exec::ChunkStream>,
+    opts: &QueryOptions,
+    ctx: &RunCtx,
+) -> Result<(F::Acc, GusParams)> {
+    let opts = QueryOptions {
+        rule: StoppingRule::exhaustive(),
+        deadline: None,
+        ..opts.clone()
+    };
+    let mut gus = None;
+    let (acc, _) = run_worker_pool(
+        streams,
+        opts.chunk_rows,
+        &ctx.pool,
+        feed,
+        |acc, _, tree, exhausted, degraded| {
+            let rows = feed.rows(acc);
+            match stop_reason(
+                &opts,
+                exhausted,
+                false,
+                degraded,
+                None,
+                rows,
+                Duration::ZERO,
+            ) {
+                None => Ok(ControlFlow::Continue(opts.chunk_rows)),
+                Some(StopReason::Degraded) => Err(Error::Unsupported(
+                    "a worker panicked, so the batch sample is incomplete; \
+                     run() reports such a prefix as degraded"
+                        .into(),
+                )),
+                Some(reason) => {
+                    gus = Some(tick_gus(analysis, &opts, &tree)?);
+                    Ok(ControlFlow::Break(reason))
                 }
             }
-            Ok(())
-        })?;
-        let (report, result_rows) = match (kept, opts.subsample_target) {
-            (Some(rows), Some(target)) => {
-                let m = rows.len() as u64;
-                (
-                    subsampled_report(&analysis, dims, rows, target, opts.seed)?,
-                    m,
-                )
-            }
-            _ => {
-                let m = acc.count();
-                (
-                    estimate_from_sample_moments(&analysis.gus, &acc.finish())?,
-                    m,
-                )
-            }
-        };
-        let result = ApproxResult {
-            aggs: agg_results_from_report(aggs, &layout, &report, confidence),
-            result_rows,
-            variance_rows: report.m,
-            analysis,
-            report,
-        };
-        return Ok((BatchOutput::Scalar(result), result_rows));
+        },
+    )?;
+    Ok((acc, gus.expect("the final tick reads the GUS")))
+}
+
+/// Every sampled `(lineage, f)` row, kept for the Section 7 post-pass.
+struct KeptRows<'a>(&'a Aggregates<'a>);
+
+impl Feed for KeptRows<'_> {
+    type Acc = Vec<(Vec<u64>, Vec<f64>)>;
+
+    fn new_acc(&self) -> Self::Acc {
+        Vec::new()
     }
 
-    let mut groups: FpMap<Vec<Value>, GroupedMoments> = FpMap::new();
-    let mut result_rows = 0u64;
-    drain(streams, opts.chunk_rows, &dim_eval, |chunk, cols| {
-        let key_cols = keys
-            .iter()
-            .map(|k| k.eval_column(&chunk.batch))
-            .collect::<sa_expr::Result<Vec<_>>>()
-            .map_err(ExecError::Expr)?;
-        for row in 0..chunk.rows() {
-            read_row(chunk, cols, row, &mut lineage, &mut f);
-            let key = key_cols.iter().map(|c| c.value(row)).collect();
-            groups
-                .get_or_insert_with(key, || GroupedMoments::new(n, dims))
-                .push(&lineage, &f)?;
-        }
-        result_rows += chunk.rows() as u64;
+    fn push(&self, acc: &mut Self::Acc, chunk: &ColumnarChunk) -> Result<()> {
+        let cols = self.0.dim_eval.eval(&chunk.batch)?;
+        acc.extend((0..chunk.rows()).map(|row| {
+            let lineage = chunk.lineage.iter().map(|ids| ids[row]).collect();
+            (lineage, cols.iter().map(|col| col[row]).collect())
+        }));
         Ok(())
-    })?;
-    let groups = groups
-        .into_sorted()
-        .into_iter()
-        .map(|(key, acc)| {
-            let sample_rows = acc.count();
-            let report = estimate_from_sample_moments(&analysis.gus, &acc.finish())?;
-            Ok(GroupEstimate {
-                key,
-                aggs: agg_results_from_report(aggs, &layout, &report, confidence),
-                sample_rows,
-            })
-        })
-        .collect::<Result<Vec<_>>>()?;
-    let result = GroupedApproxResult {
-        group_exprs: group_by.iter().map(|e| e.to_string()).collect(),
-        groups,
-        analysis,
-        result_rows,
-    };
-    Ok((BatchOutput::Grouped(result), result_rows))
-}
-
-/// Drain every stream in worker order, handing each non-empty chunk and
-/// its per-dimension `f` columns to `sink`.
-fn drain(
-    streams: Vec<ChunkStream>,
-    hint: usize,
-    dim_eval: &BatchDimEval,
-    mut sink: impl FnMut(&ColumnarChunk, &[Vec<f64>]) -> Result<()>,
-) -> Result<()> {
-    for mut stream in streams {
-        loop {
-            let chunk = stream.next_batch(hint)?;
-            if chunk.is_empty() {
-                break;
-            }
-            let cols = dim_eval.eval(&chunk.batch)?;
-            sink(&chunk, &cols)?;
-        }
     }
-    Ok(())
-}
 
-/// Copy row `row`'s lineage ids and `f` values out of a chunk.
-fn read_row(
-    chunk: &ColumnarChunk,
-    cols: &[Vec<f64>],
-    row: usize,
-    lineage: &mut [u64],
-    f: &mut [f64],
-) {
-    for (l, ids) in lineage.iter_mut().zip(&chunk.lineage) {
-        *l = ids[row];
+    fn absorb(&self, acc: &mut Self::Acc, delta: &Self::Acc) -> Result<()> {
+        acc.extend_from_slice(delta);
+        Ok(())
     }
-    for (v, col) in f.iter_mut().zip(cols) {
-        *v = col[row];
+
+    fn rows(&self, acc: &Self::Acc) -> u64 {
+        acc.len() as u64
     }
 }
 

@@ -1,18 +1,32 @@
 //! The progressive query loop: stream chunks, update moments, snapshot,
 //! stop when the rule fires.
 //!
-//! `drive_scalar` runs a scalar query progressively for the
-//! [`crate::Engine`]'s `run`/`online` terminals. It rewrites the plan once (the SOA analysis — and hence the top GUS — does
-//! not depend on how much of the sample has been consumed), opens a chunked
-//! [`sa_exec::open_stream`] over the aggregate's input, and then loops:
+//! `drive` is the one loop behind the [`crate::Engine`]'s `run` and
+//! `online` terminals, for scalar and grouped queries alike. `run` rewrites
+//! the plan once (the SOA analysis — and hence the top GUS — does not
+//! depend on how much of the sample has been consumed) and opens the
+//! chunked stream(s) over the aggregate's input; `drive` hands them to the
+//! worker pool (`crate::parallel`), which for each tick
 //!
-//! 1. pull the next chunk of sampled result tuples,
-//! 2. push each tuple's `(lineage, f)` into the incremental
-//!    [`MomentAccumulator`] (so estimate/variance are O(1) to read out —
-//!    nothing is ever recomputed from scratch),
-//! 3. emit a [`ProgressSnapshot`] (estimates, CI half-widths, rows, wall
-//!    time) to the caller's callback,
-//! 4. stop when the [`sa_plan::StoppingRule`] fires or the stream drains.
+//! 1. pulls the next chunk(s) of sampled result tuples,
+//! 2. pushes their `(lineage, f)` columns into an incremental accumulator
+//!    (so estimate/variance are O(1)-in-rows to read out — nothing is ever
+//!    recomputed from scratch),
+//! 3. reads a [`Snapshot`] out under the scan-scaled GUS and passes it to
+//!    the caller's callback,
+//! 4. stops when `stop_reason` says so: a contained worker fault, the end
+//!    of the stream, cancellation, the hard deadline or the
+//!    [`sa_plan::StoppingRule`], in that order.
+//!
+//! What differs between scalar and grouped queries is only the
+//! accumulator and the readout, behind the `Readout` trait: the scalar
+//! one is implemented by `Aggregates` over a
+//! [`sa_core::MomentAccumulator`], the grouped one by
+//! `crate::grouped::GroupedReadout` over a
+//! [`sa_core::GroupedMomentAccumulator`] (a group is one more selection,
+//! Proposition 5). One stream or N is the pool's concern; the one-shot
+//! [`crate::QueryBuilder::batch`] runs the same pool under the exhaustive
+//! rule and reads out once (`crate::batch`).
 //!
 //! ## Scan-progress scaling
 //!
@@ -28,9 +42,8 @@
 //! intervals account for both the not-yet-scanned data *and* the plan's own
 //! sampling, and at exhaustion every factor degenerates to the identity, so
 //! the final readout **equals the batch estimator's output** on the consumed
-//! sample (up to float associativity — the moments are accumulated
-//! incrementally). Set [`QueryOptions::scale_to_population`]` = false` to
-//! read raw prefix estimates under the plan GUS instead.
+//! sample. Set [`QueryOptions::scale_to_population`]` = false` to read raw
+//! prefix estimates under the plan GUS instead.
 //!
 //! `UnionSamples` plans need more care than one plan-wide compaction:
 //! compaction does not distribute over Proposition 7 unions, and the
@@ -48,11 +61,12 @@
 //! scan-progress factor (estimating the full scan from the prefix), but no
 //! sampling variance of its own.
 
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sa_core::{GusParams, MomentAccumulator};
+use sa_core::{EstimateReport, GusParams, MomentAccumulator};
 use sa_exec::ProgressTree;
 use sa_exec::{agg_results_from_report, layout_dims, open_stream_partitioned, AggResult};
 use sa_exec::{open_shared_stream, SharedTableScan};
@@ -60,32 +74,11 @@ use sa_exec::{BatchDimEval, ChunkStream, ColumnarChunk, DimLayout, ExecError, Ex
 use sa_plan::{rewrite, AggSpec, GusTree, LogicalPlan, SoaAnalysis, StopReason};
 use sa_storage::Catalog;
 
-use crate::api::QueryOptions;
+use crate::api::{QueryOptions, QueryResult, Snapshot};
 use crate::error::Error;
-use crate::parallel::{run_worker_pool, PoolObs};
+use crate::grouped::GroupedReadout;
+use crate::parallel::{run_worker_pool, Feed, PoolObs};
 use crate::Result;
-
-/// Hard cap multiplier for [`QueryOptions::adaptive_chunks`]: the pull
-/// hint never exceeds `chunk_rows × 64`.
-pub(crate) const ADAPTIVE_CHUNK_CAP_FACTOR: usize = 64;
-
-/// One step of the adaptive chunk policy: double `cur` (up to `cap`) when
-/// the relative CI half-width `rel` improved by less than 10% over `prev`.
-pub(crate) fn adapt_chunk_hint(
-    cur: usize,
-    cap: usize,
-    prev: &mut Option<f64>,
-    rel: Option<f64>,
-) -> usize {
-    let mut next = cur;
-    if let (Some(p), Some(r)) = (*prev, rel) {
-        if p.is_finite() && r.is_finite() && r > 0.9 * p {
-            next = cur.saturating_mul(2).min(cap);
-        }
-    }
-    *prev = rel;
-    next
-}
 
 /// How a progressive run is wired into its surroundings: an optional
 /// cancellation flag (set by [`crate::QueryHandle::cancel`]) and an
@@ -145,223 +138,165 @@ pub struct ProgressSnapshot {
     pub elapsed: Duration,
 }
 
-/// The outcome of a progressive run.
-#[derive(Debug, Clone)]
-pub struct OnlineResult {
-    /// Why the loop stopped.
-    pub reason: StopReason,
-    /// The last emitted snapshot (the final estimates).
-    pub snapshot: ProgressSnapshot,
-    /// Number of snapshots emitted. Equals the chunks consumed only in the
-    /// sequential loop (`parallelism = 1`); a parallel coordinator tick may
-    /// absorb several worker chunks.
-    pub chunks: u64,
-    /// The SOA analysis (top GUS, lineage schema, rewrite trace).
-    pub analysis: SoaAnalysis,
+/// What a tick is read at: its index, the scan coverage, the wall time
+/// since the loop started, and the previous snapshot (for what changed).
+pub(crate) struct Tick<'a> {
+    pub(crate) chunk: u64,
+    pub(crate) progress: Vec<(u64, u64)>,
+    pub(crate) elapsed: Duration,
+    pub(crate) prev: Option<&'a Snapshot>,
 }
 
-/// The canonical scalar progressive loop; the builder API's `run` and
+/// A query's result shape: the worker side ([`Feed`]: make an accumulator,
+/// push one chunk) plus reading a snapshot out of the accumulator under a
+/// given GUS.
+pub(crate) trait Readout: Feed {
+    /// Read the snapshot of one tick.
+    fn read(&self, acc: &Self::Acc, gus: GusParams, tick: Tick<'_>) -> Result<Snapshot>;
+}
+
+/// The aggregates of a query laid onto SBox dimensions, with their batch
+/// `f` evaluator and the confidence intervals are read at. On its own this
+/// is the scalar readout over a [`MomentAccumulator`].
+pub(crate) struct Aggregates<'p> {
+    specs: &'p [AggSpec],
+    pub(crate) layout: DimLayout,
+    pub(crate) dim_eval: BatchDimEval,
+    pub(crate) relations: usize,
+    pub(crate) confidence: f64,
+}
+
+impl Aggregates<'_> {
+    /// Per-aggregate results of an estimate report (delta-method AVG
+    /// ratios resolved), at the readout confidence.
+    pub(crate) fn results(&self, report: &EstimateReport) -> Vec<AggResult> {
+        agg_results_from_report(self.specs, &self.layout, report, self.confidence)
+    }
+}
+
+impl Feed for Aggregates<'_> {
+    type Acc = MomentAccumulator;
+
+    fn new_acc(&self) -> MomentAccumulator {
+        MomentAccumulator::new(self.relations, self.layout.dims())
+    }
+
+    /// Evaluate every SBox dimension's `f` column at once and land in the
+    /// amortized [`MomentAccumulator::push_batch`] path.
+    fn push(&self, acc: &mut MomentAccumulator, chunk: &ColumnarChunk) -> Result<()> {
+        let f_cols = self.dim_eval.eval(&chunk.batch)?;
+        let lineage: Vec<&[u64]> = chunk.lineage.iter().map(|l| l.as_slice()).collect();
+        let f: Vec<&[f64]> = f_cols.iter().map(|c| c.as_slice()).collect();
+        acc.push_batch(&lineage, &f).map_err(Error::Core)
+    }
+
+    fn absorb(&self, acc: &mut MomentAccumulator, delta: &MomentAccumulator) -> Result<()> {
+        Ok(acc.merge(delta)?)
+    }
+
+    fn rows(&self, acc: &MomentAccumulator) -> u64 {
+        acc.count()
+    }
+}
+
+impl Readout for Aggregates<'_> {
+    fn read(&self, acc: &MomentAccumulator, gus: GusParams, tick: Tick<'_>) -> Result<Snapshot> {
+        let aggs = self.results(&acc.report(&gus)?);
+        Ok(Snapshot::Scalar(ProgressSnapshot {
+            chunk: tick.chunk,
+            rows: acc.count(),
+            rel_half_width: worst_rel_half_width(&aggs),
+            aggs,
+            confidence: self.confidence,
+            progress: tick.progress,
+            gus,
+            elapsed: tick.elapsed,
+        }))
+    }
+}
+
+/// Run `plan` progressively — grouped when `group_by` is non-empty —
+/// calling `on_snapshot` after every tick. The builder API's `run` and
 /// `online` terminals funnel into this.
-pub(crate) fn drive_scalar(
+pub(crate) fn run(
     plan: &LogicalPlan,
+    group_by: &[sa_expr::Expr],
     catalog: &Catalog,
     opts: &QueryOptions,
     ctx: &RunCtx,
-    mut on_snapshot: impl FnMut(&ProgressSnapshot),
-) -> Result<OnlineResult> {
-    let OpenedAggregate {
-        analysis,
-        aggs,
-        mut streams,
-        layout,
-    } = open_aggregate(plan, catalog, opts, ctx, &[], "a query")?;
-    if streams.len() > 1 {
-        return drive_scalar_parallel(analysis, aggs, streams, layout, opts, ctx, on_snapshot);
+    on_snapshot: impl FnMut(&Snapshot),
+) -> Result<QueryResult> {
+    let opened = open_aggregate(plan, catalog, opts, ctx, group_by, "a query")?;
+    let (analysis, streams) = (opened.analysis, opened.streams);
+    if group_by.is_empty() {
+        return drive(&opened.aggs, analysis, streams, opts, ctx, on_snapshot);
     }
-    let mut stream = streams.pop().expect("open_aggregate yields >= 1 stream");
-    let dim_eval = layout.compile_batch(stream.schema())?;
-    let mut acc = MomentAccumulator::new(analysis.schema.n(), layout.dims());
-    let confidence = opts.rule.confidence_or(opts.confidence);
-    let start = Instant::now();
-    let mut chunks = 0u64;
-    let mut hint = opts.chunk_rows;
-    let cap = opts.chunk_rows.saturating_mul(ADAPTIVE_CHUNK_CAP_FACTOR);
-    let mut prev_rel: Option<f64> = None;
-    loop {
-        let chunk = stream.next_batch(hint)?;
-        let exhausted = chunk.is_empty();
-        push_scalar_chunk(&mut acc, &dim_eval, &chunk)?;
-        chunks += 1;
-        let (snapshot, reason) = scalar_tick(
-            &acc,
-            aggs,
-            &layout,
-            &analysis.gus,
-            &analysis.gus_tree,
-            stream.progress(),
-            &stream.progress_tree(),
-            opts,
-            confidence,
-            chunks,
-            exhausted,
-            ctx.cancelled(),
-            false,
-            &start,
-        )?;
-        on_snapshot(&snapshot);
-        if let Some(reason) = reason {
-            return Ok(OnlineResult {
-                reason,
-                snapshot,
-                chunks,
-                analysis,
-            });
-        }
-        if opts.adaptive_chunks {
-            hint = adapt_chunk_hint(hint, cap, &mut prev_rel, snapshot.rel_half_width);
-        }
-    }
+    let readout = GroupedReadout::new(opened.aggs, group_by, streams[0].schema(), opts)?;
+    drive(&readout, analysis, streams, opts, ctx, on_snapshot)
 }
 
-/// Accumulate one columnar chunk into a scalar accumulator: evaluate every
-/// SBox dimension's `f` column at once and land in the amortized
-/// [`MomentAccumulator::push_batch`] path.
-pub(crate) fn push_scalar_chunk(
-    acc: &mut MomentAccumulator,
-    dim_eval: &BatchDimEval,
-    chunk: &ColumnarChunk,
-) -> Result<()> {
-    if chunk.is_empty() {
-        return Ok(());
-    }
-    let f_cols = dim_eval.eval(&chunk.batch)?;
-    let lineage: Vec<&[u64]> = chunk.lineage.iter().map(|l| l.as_slice()).collect();
-    let f: Vec<&[f64]> = f_cols.iter().map(|c| c.as_slice()).collect();
-    acc.push_batch(&lineage, &f).map_err(Error::Core)
-}
-
-/// Build the snapshot for one tick of the scalar loop and judge the
-/// stopping rule (degradation wins, then exhaustion, then cancellation,
-/// then the hard deadline, then the rule) — the per-tick readout shared
-/// verbatim by the sequential loop and the parallel coordinator, so the
-/// two paths cannot diverge in snapshot semantics or stop precedence.
-#[allow(clippy::too_many_arguments)]
-fn scalar_tick(
-    acc: &MomentAccumulator,
-    aggs: &[AggSpec],
-    layout: &DimLayout,
-    plan_gus: &GusParams,
-    gus_tree: &GusTree,
-    progress: Vec<(u64, u64)>,
-    prog_tree: &ProgressTree,
-    opts: &QueryOptions,
-    confidence: f64,
-    chunk: u64,
-    exhausted: bool,
-    cancelled: bool,
-    degraded: bool,
-    start: &Instant,
-) -> Result<(ProgressSnapshot, Option<StopReason>)> {
-    let gus = if opts.scale_to_population {
-        scale_gus_tree(gus_tree, prog_tree)?
-    } else {
-        plan_gus.clone()
-    };
-    let report = acc.report(&gus)?;
-    let agg_results = agg_results_from_report(aggs, layout, &report, confidence);
-    let rel_half_width = worst_rel_half_width(&agg_results);
-    let snapshot = ProgressSnapshot {
-        chunk,
-        rows: acc.count(),
-        aggs: agg_results,
-        rel_half_width,
-        confidence,
-        progress,
-        gus,
-        elapsed: start.elapsed(),
-    };
-    let reason = if degraded {
-        // A fault was contained mid-run (a panicked worker shard): the
-        // absorbed prefix is still a valid — merely smaller — sample, and
-        // this snapshot reads exactly it. Degradation outranks even
-        // exhaustion: the realized sample is not the full one.
-        Some(StopReason::Degraded)
-    } else if exhausted {
-        Some(StopReason::Exhausted)
-    } else if cancelled {
-        // A cancelled loop still emits this snapshot: the accumulated
-        // prefix is a valid mid-stream estimate.
-        Some(StopReason::Cancelled)
-    } else if opts.deadline.is_some_and(|d| snapshot.elapsed >= d) {
-        // The hard deadline cancels the run even when the caller's soft
-        // rule never fires — checked before the rule so a simultaneous
-        // soft time-budget stop reports the imposed bound.
-        Some(StopReason::Deadline)
-    } else {
-        opts.rule
-            .should_stop(rel_half_width, snapshot.rows, snapshot.elapsed)
-    };
-    Ok((snapshot, reason))
-}
-
-/// The shard-parallel progressive loop: one worker thread per partitioned
-/// stream, thread-local accumulators, a coordinator that absorbs the
-/// queued per-chunk deltas per snapshot tick and judges the stopping rule
-/// exactly as the sequential loop does (see [`crate::parallel`]).
-fn drive_scalar_parallel(
+/// The progressive loop: run the worker pool over `streams`, read a
+/// snapshot out after every tick, pass it to `on_snapshot`, and stop on
+/// [`stop_reason`]. The final snapshot is the result's. With
+/// [`QueryOptions::adaptive_chunks`] the inline worker's pull hint grows.
+pub(crate) fn drive<R: Readout>(
+    readout: &R,
     analysis: SoaAnalysis,
-    aggs: &[AggSpec],
     streams: Vec<ChunkStream>,
-    layout: DimLayout,
     opts: &QueryOptions,
     ctx: &RunCtx,
-    mut on_snapshot: impl FnMut(&ProgressSnapshot),
-) -> Result<OnlineResult> {
-    let n = analysis.schema.n();
-    let dims = layout.dims();
-    let dim_eval = layout.compile_batch(streams[0].schema())?;
-    let confidence = opts.rule.confidence_or(opts.confidence);
+    mut on_snapshot: impl FnMut(&Snapshot),
+) -> Result<QueryResult> {
     let start = Instant::now();
+    let cap = opts.chunk_rows.saturating_mul(64);
+    let mut hint = opts.chunk_rows;
+    let mut prev_rel: Option<f64> = None;
     let mut chunks = 0u64;
-    let mut last: Option<ProgressSnapshot> = None;
-    let layout = &layout;
-    let dim_eval = &dim_eval;
+    let mut last: Option<Snapshot> = None;
     let (_, reason) = run_worker_pool(
         streams,
         opts.chunk_rows,
         &ctx.pool,
-        || MomentAccumulator::new(n, dims),
-        |acc: &mut MomentAccumulator, chunk: &ColumnarChunk| {
-            push_scalar_chunk(acc, dim_eval, chunk)
-        },
-        |merged, progress, exhausted, degraded| {
+        readout,
+        |acc, progress, tree, exhausted, degraded| {
             chunks += 1;
-            // Workers see disjoint slices of one scan, so the element-wise
-            // summed coverage is a flat per-relation prefix; union plans
-            // never reach this loop (partitioned opens refuse them).
-            let prog_tree = ProgressTree::Leaf(progress.to_vec());
-            let (snapshot, reason) = scalar_tick(
-                merged,
-                aggs,
-                layout,
-                &analysis.gus,
-                &analysis.gus_tree,
-                progress.to_vec(),
-                &prog_tree,
+            let tick = Tick {
+                chunk: chunks,
+                progress,
+                elapsed: start.elapsed(),
+                prev: last.as_ref(),
+            };
+            let gus = tick_gus(&analysis, opts, &tree)?;
+            let snapshot = readout.read(acc, gus, tick)?;
+            let rel = snapshot.rel_half_width();
+            let reason = stop_reason(
                 opts,
-                confidence,
-                chunks,
                 exhausted,
                 ctx.cancelled(),
                 degraded,
-                &start,
-            )?;
+                rel,
+                snapshot.rows(),
+                snapshot.elapsed(),
+            );
             on_snapshot(&snapshot);
             last = Some(snapshot);
-            Ok(reason)
+            if opts.adaptive_chunks {
+                // Double the hint, up to the cap, when the half-width
+                // improved by less than 10% on the previous snapshot.
+                if let (Some(p), Some(r)) = (prev_rel, rel) {
+                    if p.is_finite() && r.is_finite() && r > 0.9 * p {
+                        hint = hint.saturating_mul(2).min(cap);
+                    }
+                }
+                prev_rel = rel;
+            }
+            Ok(match reason {
+                Some(reason) => ControlFlow::Break(reason),
+                None => ControlFlow::Continue(hint),
+            })
         },
     )?;
-    Ok(OnlineResult {
+    Ok(QueryResult {
         reason,
         snapshot: last.expect("the pool judges at least one tick"),
         chunks,
@@ -369,21 +304,64 @@ fn drive_scalar_parallel(
     })
 }
 
-/// The validated, opened state every progressive loop starts from. For
-/// `parallelism = 1` there is exactly one stream (the classic sequential
-/// loop); for `N > 1`, `streams` holds one disjoint slice per worker.
+/// Why the loop stops after a tick, if it does — the one place the stop
+/// precedence lives. A contained worker fault wins: the absorbed prefix is
+/// still a valid, merely smaller, sample, but not the full one, so
+/// degradation outranks even exhaustion. Then exhaustion, then
+/// cancellation (the cancelled tick's snapshot is still a valid mid-stream
+/// estimate), then the hard deadline — before the rule, so a simultaneous
+/// soft time-budget stop reports the imposed bound — and last the rule,
+/// judged on the snapshot's worst relative half-width, rows and wall time.
+pub(crate) fn stop_reason(
+    opts: &QueryOptions,
+    exhausted: bool,
+    cancelled: bool,
+    degraded: bool,
+    rel_half_width: Option<f64>,
+    rows: u64,
+    elapsed: Duration,
+) -> Option<StopReason> {
+    if degraded {
+        Some(StopReason::Degraded)
+    } else if exhausted {
+        Some(StopReason::Exhausted)
+    } else if cancelled {
+        Some(StopReason::Cancelled)
+    } else if opts.deadline.is_some_and(|d| elapsed >= d) {
+        Some(StopReason::Deadline)
+    } else {
+        opts.rule.should_stop(rel_half_width, rows, elapsed)
+    }
+}
+
+/// The GUS a tick reads under: the plan GUS scaled to the scanned
+/// population (`scale_gus_tree`), or the plan GUS itself when
+/// [`QueryOptions::scale_to_population`] is off.
+pub(crate) fn tick_gus(
+    analysis: &SoaAnalysis,
+    opts: &QueryOptions,
+    coverage: &ProgressTree,
+) -> Result<GusParams> {
+    if opts.scale_to_population {
+        scale_gus_tree(&analysis.gus_tree, coverage)
+    } else {
+        Ok(analysis.gus.clone())
+    }
+}
+
+/// The validated, opened state every query starts from. For
+/// `parallelism = 1` there is exactly one stream (the inline worker); for
+/// `N > 1`, `streams` holds one disjoint slice per worker.
 pub(crate) struct OpenedAggregate<'p> {
     pub(crate) analysis: SoaAnalysis,
-    pub(crate) aggs: &'p [AggSpec],
     pub(crate) streams: Vec<ChunkStream>,
-    pub(crate) layout: DimLayout,
+    pub(crate) aggs: Aggregates<'p>,
 }
 
 /// Validate the options and plan shape, run the one-time SOA rewrite, open
 /// the chunked stream(s) over the aggregate's input, and lay the aggregates
-/// onto SBox dimensions — the preamble shared by the scalar and grouped
-/// loops and the one-shot batch estimator. `caller` names the entry point
-/// in errors.
+/// onto SBox dimensions — the preamble shared by the progressive loop and
+/// the one-shot batch estimator. `caller` names the entry point in errors.
 pub(crate) fn open_aggregate<'p>(
     plan: &'p LogicalPlan,
     catalog: &Catalog,
@@ -434,12 +412,19 @@ pub(crate) fn open_aggregate<'p>(
         }
         _ => open_stream_partitioned(input, catalog, &exec_opts, opts.parallelism)?,
     };
-    let layout = layout_dims(aggs, streams[0].schema())?;
+    let schema = streams[0].schema();
+    let layout = layout_dims(aggs, schema)?;
+    let aggs = Aggregates {
+        specs: aggs,
+        dim_eval: layout.compile_batch(schema)?,
+        layout,
+        relations: analysis.schema.n(),
+        confidence: opts.rule.confidence_or(opts.confidence),
+    };
     Ok(OpenedAggregate {
         analysis,
-        aggs,
         streams,
-        layout,
+        aggs,
     })
 }
 
@@ -566,12 +551,9 @@ pub(crate) fn scale_gus_tree(tree: &GusTree, prog: &ProgressTree) -> Result<GusP
 /// any variance is not yet estimable (so a CI target cannot fire early on
 /// partial information).
 pub(crate) fn worst_rel_half_width(aggs: &[AggResult]) -> Option<f64> {
-    let mut worst = 0.0f64;
-    for a in aggs {
-        let ci = a.ci_normal.as_ref()?;
-        worst = worst.max(ci.relative_half_width());
-    }
-    Some(worst)
+    aggs.iter().try_fold(0.0f64, |worst, a| {
+        Some(worst.max(a.ci_normal.as_ref()?.relative_half_width()))
+    })
 }
 
 #[cfg(test)]
@@ -606,13 +588,31 @@ mod tests {
             .aggregate(vec![AggSpec::sum(col("v"), "s")])
     }
 
+    /// A scalar run's result with its snapshot unwrapped.
+    #[derive(Debug)]
+    struct ScalarRun {
+        reason: StopReason,
+        snapshot: ProgressSnapshot,
+        chunks: u64,
+        analysis: SoaAnalysis,
+    }
+
     fn drive(
         plan: &LogicalPlan,
         catalog: &Catalog,
         opts: &QueryOptions,
-        on_snapshot: impl FnMut(&ProgressSnapshot),
-    ) -> Result<OnlineResult> {
-        drive_scalar(plan, catalog, opts, &RunCtx::default(), on_snapshot)
+        mut on_snapshot: impl FnMut(&ProgressSnapshot),
+    ) -> Result<ScalarRun> {
+        let scalar = |s: &Snapshot| s.as_scalar().expect("scalar plan").clone();
+        let r = run(plan, &[], catalog, opts, &RunCtx::default(), |s| {
+            on_snapshot(&scalar(s))
+        })?;
+        Ok(ScalarRun {
+            reason: r.reason,
+            snapshot: scalar(&r.snapshot),
+            chunks: r.chunks,
+            analysis: r.analysis,
+        })
     }
 
     #[test]

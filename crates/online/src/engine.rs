@@ -50,15 +50,14 @@ use sa_exec::shared::{DEFAULT_BUS_ROWS, DEFAULT_MAX_LAG_ROWS};
 use sa_exec::{shared_scan_needs, shared_scan_table, ScanObs, SharedScanStats, SharedTableScan};
 use sa_expr::Expr;
 use sa_obs::{Counter, EventKind, Gauge, Histogram, MetricsSnapshot, Registry};
-use sa_plan::{LogicalPlan, StopReason};
+use sa_plan::LogicalPlan;
 use sa_sql::plan_online_grouped_sql;
 use sa_storage::Catalog;
 
 use crate::api::{BatchOutput, QueryOptions, QueryResult, Snapshot};
-use crate::batch::drive_batch;
-use crate::driver::{drive_scalar, RunCtx};
+use crate::batch::batch;
+use crate::driver::{run, RunCtx};
 use crate::error::Error;
-use crate::grouped::drive_grouped;
 use crate::parallel::PoolObs;
 use crate::Result;
 
@@ -81,7 +80,7 @@ struct EngineInner {
     sessions: AtomicU64,
     /// Query ordinal counter (event correlation ids).
     queries: AtomicU64,
-    /// Metrics and event handles ([`EngineObs::disabled`] unless the
+    /// Metrics and event handles (disabled defaults unless the
     /// engine was built with [`EngineBuilder::metrics`]).
     obs: EngineObs,
 }
@@ -91,11 +90,13 @@ struct EngineInner {
 /// fired still renders as `0`). Disabled handles (the default) turn every
 /// update into one untaken branch — see the `sa-obs` crate docs for the
 /// hot-path contract.
+#[derive(Default)]
 struct EngineObs {
     registry: Registry,
     sessions_opened: Counter,
     queries_started: Counter,
-    /// Indexed by [`reason_ix`]: one labeled counter per stop reason.
+    /// One labeled counter per stop reason, indexed by `reason as usize`
+    /// (registered in [`sa_plan::StopReason`]'s declaration order).
     queries_finished: [Counter; 7],
     queries_rejected: Counter,
     query_errors: Counter,
@@ -112,34 +113,6 @@ struct EngineObs {
     /// Handles the scan layer updates (columns gathered, pages skipped by
     /// pushed-down predicates) — cloned into each query's [`RunCtx`].
     scan: ScanObs,
-}
-
-/// The fixed index of each stop reason in `queries_finished` (and the
-/// `reason=` label value it was registered under).
-fn reason_ix(reason: StopReason) -> usize {
-    match reason {
-        StopReason::CiConverged => 0,
-        StopReason::RowBudget => 1,
-        StopReason::TimeBudget => 2,
-        StopReason::Exhausted => 3,
-        StopReason::Cancelled => 4,
-        StopReason::Deadline => 5,
-        StopReason::Degraded => 6,
-    }
-}
-
-/// [`StopReason`]'s display form as a static string (journal events store
-/// no allocations).
-fn reason_str(reason: StopReason) -> &'static str {
-    match reason {
-        StopReason::CiConverged => "ci-converged",
-        StopReason::RowBudget => "row-budget",
-        StopReason::TimeBudget => "time-budget",
-        StopReason::Exhausted => "exhausted",
-        StopReason::Cancelled => "cancelled",
-        StopReason::Deadline => "deadline",
-        StopReason::Degraded => "degraded",
-    }
 }
 
 impl EngineObs {
@@ -182,26 +155,6 @@ impl EngineObs {
             },
             scan: ScanObs::new(&registry),
             registry,
-        }
-    }
-
-    fn disabled() -> EngineObs {
-        EngineObs {
-            registry: Registry::disabled(),
-            sessions_opened: Counter::default(),
-            queries_started: Counter::default(),
-            queries_finished: Default::default(),
-            queries_rejected: Counter::default(),
-            query_errors: Counter::default(),
-            batch_queries: Counter::default(),
-            snapshots: Counter::default(),
-            rows_consumed: Counter::default(),
-            active_queries: Gauge::default(),
-            query_duration_us: Histogram::default(),
-            first_snapshot_us: Histogram::default(),
-            stop_scan_permille: Histogram::default(),
-            pool: PoolObs::default(),
-            scan: ScanObs::default(),
         }
     }
 }
@@ -308,7 +261,7 @@ impl EngineBuilder {
                 obs: if self.metrics {
                     EngineObs::new(Registry::new())
                 } else {
-                    EngineObs::disabled()
+                    EngineObs::default()
                 },
             }),
         }
@@ -832,10 +785,11 @@ impl QueryBuilder {
             |(plan, group_by, opts)| {
                 let ctx = RunCtx {
                     shared: self.engine.shared_hub(&plan, &group_by, &opts)?,
+                    pool: obs.pool.clone(),
                     scan_obs: obs.scan.clone(),
                     ..RunCtx::default()
                 };
-                drive_batch(&plan, &group_by, self.engine.catalog(), &opts, &ctx)
+                batch(&plan, &group_by, self.engine.catalog(), &opts, &ctx)
             },
         );
         match result {
@@ -890,9 +844,9 @@ fn scan_permille(progress: &[(u64, u64)]) -> u64 {
         .unwrap_or(1000)
 }
 
-/// The one dispatch point every terminal funnels into: resolve the input,
-/// pick a shared scan hub if eligible, and run the scalar or grouped
-/// progressive loop.
+/// The one dispatch point the progressive terminals funnel into: resolve
+/// the input, pick a shared scan hub if eligible, and run the progressive
+/// loop.
 ///
 /// All instrumentation lives here and in the components the run context
 /// carries — never inside the per-row paths — so an instrumented run
@@ -936,32 +890,22 @@ fn execute(
             .record(EventKind::SnapshotEmitted { query, rows });
         prev_rows = rows;
     };
-    let catalog = engine.catalog();
-    let result = if group_by.is_empty() {
-        drive_scalar(&plan, catalog, &opts, &ctx, |s| {
-            tick(s.rows);
-            on_snapshot(Snapshot::Scalar(s.clone()))
-        })
-        .map(QueryResult::from)
-    } else {
-        drive_grouped(&plan, &group_by, catalog, &opts, &ctx, |s| {
-            tick(s.rows);
-            on_snapshot(Snapshot::Grouped(s.clone()))
-        })
-        .map(QueryResult::from)
-    };
+    let result = run(&plan, &group_by, engine.catalog(), &opts, &ctx, |s| {
+        tick(s.rows());
+        on_snapshot(s.clone())
+    });
     match &result {
         Ok(r) => {
             if obs.query_duration_us.enabled() {
                 obs.query_duration_us
                     .record(start.elapsed().as_micros() as u64);
             }
-            obs.queries_finished[reason_ix(r.reason)].inc();
+            obs.queries_finished[r.reason as usize].inc();
             let permille = scan_permille(r.snapshot.progress());
             obs.stop_scan_permille.record(permille);
             obs.registry.record(EventKind::RuleFired {
                 query,
-                reason: reason_str(r.reason),
+                reason: r.reason.as_str(),
                 scan_permille: permille,
             });
         }

@@ -1,16 +1,16 @@
 //! Grouped online aggregation: per-group accumulators, per-group stopping.
 //!
-//! `drive_grouped` is the `GROUP BY` counterpart of the scalar loop (the
-//! [`crate::Engine`] routes a query here when it has a `GROUP BY` list).
-//! The GUS algebra needs nothing new for it: a
-//! group's SUM is the SUM-like aggregate of `f_g(t) = f(t)·1{key(t) = g}` —
-//! the group indicator is just another selection (Proposition 5) — so the
-//! *same* top GUS from the one-time SOA rewrite analyzes every group, and
-//! each group gets its own unbiased estimate and variance. The driver pulls
-//! the existing [`sa_exec::ChunkStream`], routes each sampled tuple to its
-//! group's incremental [`sa_core::GroupedMomentAccumulator`] slot, applies
-//! the scan-progress GUS scaling (Proposition 8) once per snapshot, and
-//! reads every discovered group out in O(1)-in-rows.
+//! `GroupedReadout` is the `GROUP BY` result shape of the one
+//! progressive loop (`crate::driver::drive`; the [`crate::Engine`] picks
+//! it when a query has a `GROUP BY` list). The GUS algebra needs nothing
+//! new for it: a group's SUM is the SUM-like aggregate of
+//! `f_g(t) = f(t)·1{key(t) = g}` — the group indicator is just another
+//! selection (Proposition 5) — so the *same* top GUS from the one-time SOA
+//! rewrite analyzes every group, and each group gets its own unbiased
+//! estimate and variance. Each chunk is partitioned by group key into the
+//! incremental [`sa_core::GroupedMomentAccumulator`], the loop applies the
+//! scan-progress GUS scaling (Proposition 8) once per snapshot, and every
+//! discovered group is read out in O(1)-in-rows.
 //!
 //! ## Per-group stopping
 //!
@@ -21,36 +21,31 @@
 //! may never tighten), so [`QueryOptions::ci_top_k`] restricts the
 //! *stopping decision* to the K groups with the largest absolute estimates;
 //! tail groups are still estimated and reported honestly, they just don't
-//! hold up termination. Row and time budgets stay **global**, exactly as in
-//! the scalar loop.
+//! hold up termination. Row and time budgets stay **global**, exactly as for
+//! scalar queries.
 //!
 //! Groups with no sampled tuple yet are absent from snapshots (the honest
 //! classical caveat of sampling-based GROUP BY); each
-//! [`GroupedProgressSnapshot`] reports how many groups the latest chunk
+//! [`GroupedProgressSnapshot`] reports how many groups the latest tick
 //! discovered, so a caller can tell when discovery has plateaued.
 //!
 //! At exhaustion every scan-progress factor degenerates to the identity and
 //! each group's readout **equals the batch grouped estimator's output** on
-//! the consumed sample (up to float associativity) — pinned to 1e-9 by
-//! `tests/online_grouped.rs`.
+//! the consumed sample — pinned to 1e-9 by `tests/online_grouped.rs`.
 
 use std::hash::Hasher;
-use std::time::Instant;
 
 use sa_core::hash::{FxHashMap, FxHasher};
 use sa_core::{GroupedMomentAccumulator, GusParams};
-use sa_exec::{agg_results_from_report, AggResult, ChunkStream, ColumnarChunk, DimLayout};
-use sa_exec::{BatchDimEval, ExecError, ProgressTree};
+use sa_exec::{AggResult, ColumnarChunk, ExecError};
 use sa_expr::{compile, CompiledExpr, Expr};
-use sa_plan::{AggSpec, GusTree, LogicalPlan, SoaAnalysis, StopReason, StoppingRule};
-use sa_storage::{Catalog, ColumnVec, Value};
+use sa_plan::StoppingRule;
+use sa_storage::{ColumnVec, Schema, Value};
 
-use crate::api::QueryOptions;
-use crate::driver::{adapt_chunk_hint, ADAPTIVE_CHUNK_CAP_FACTOR};
-use crate::driver::{open_aggregate, scale_gus_tree, worst_rel_half_width, OpenedAggregate};
-use crate::driver::{ProgressSnapshot, RunCtx};
+use crate::api::{QueryOptions, Snapshot};
+use crate::driver::{worst_rel_half_width, Aggregates, ProgressSnapshot, Readout, Tick};
 use crate::error::Error;
-use crate::parallel::run_worker_pool;
+use crate::parallel::Feed;
 use crate::Result;
 
 /// One group's state within a [`GroupedProgressSnapshot`].
@@ -107,109 +102,164 @@ pub struct GroupedProgressSnapshot {
     pub elapsed: std::time::Duration,
 }
 
-/// The outcome of a grouped progressive run.
-#[derive(Debug, Clone)]
-pub struct GroupedOnlineResult {
-    /// Why the loop stopped.
-    pub reason: StopReason,
-    /// The last emitted snapshot (the final per-group estimates).
-    pub snapshot: GroupedProgressSnapshot,
-    /// Number of snapshots emitted. Equals the chunks consumed only in the
-    /// sequential loop (`parallelism = 1`); a parallel coordinator tick may
-    /// absorb several worker chunks.
-    pub chunks: u64,
-    /// The SOA analysis shared by every group.
-    pub analysis: SoaAnalysis,
+/// The grouped result shape: the query's [`Aggregates`] per group key.
+pub(crate) struct GroupedReadout<'p> {
+    aggs: Aggregates<'p>,
+    keys: Vec<CompiledExpr>,
+    pub(crate) group_exprs: Vec<String>,
+    rule: StoppingRule,
+    ci_top_k: Option<usize>,
 }
 
-/// The canonical grouped progressive loop; the builder API's `run` and
-/// `online` terminals funnel grouped queries into this.
-pub(crate) fn drive_grouped(
-    plan: &LogicalPlan,
-    group_by: &[Expr],
-    catalog: &Catalog,
-    opts: &QueryOptions,
-    ctx: &RunCtx,
-    mut on_snapshot: impl FnMut(&GroupedProgressSnapshot),
-) -> Result<GroupedOnlineResult> {
-    if group_by.is_empty() {
-        return Err(Error::Unsupported(
-            "a grouped query requires at least one GROUP BY expression".into(),
-        ));
-    }
-    let OpenedAggregate {
-        analysis,
-        aggs,
-        mut streams,
-        layout,
-    } = open_aggregate(plan, catalog, opts, ctx, group_by, "a grouped query")?;
-    let key_kernels: Vec<CompiledExpr> = group_by
-        .iter()
-        .map(|e| compile(e, streams[0].schema()))
-        .collect::<std::result::Result<_, _>>()
-        .map_err(ExecError::Expr)?;
-    let group_exprs: Vec<String> = group_by.iter().map(|e| e.to_string()).collect();
-    if streams.len() > 1 {
-        return drive_grouped_parallel(
-            analysis,
+impl<'p> GroupedReadout<'p> {
+    /// Compile the `group_by` keys against the stream `schema`.
+    pub(crate) fn new(
+        aggs: Aggregates<'p>,
+        group_by: &[Expr],
+        schema: &Schema,
+        opts: &QueryOptions,
+    ) -> Result<Self> {
+        let keys = group_by
+            .iter()
+            .map(|e| compile(e, schema))
+            .collect::<std::result::Result<_, _>>()
+            .map_err(ExecError::Expr)?;
+        Ok(GroupedReadout {
             aggs,
-            streams,
-            layout,
-            key_kernels,
-            group_exprs,
-            opts,
-            ctx,
-            on_snapshot,
-        );
+            keys,
+            group_exprs: group_by.iter().map(|e| e.to_string()).collect(),
+            rule: opts.rule.clone(),
+            ci_top_k: opts.ci_top_k,
+        })
     }
-    let mut stream = streams.pop().expect("open_aggregate yields >= 1 stream");
-    let dim_eval = layout.compile_batch(stream.schema())?;
-    let mut acc: GroupedMomentAccumulator<Vec<Value>> =
-        GroupedMomentAccumulator::new(analysis.schema.n(), layout.dims());
-    let rule = &opts.rule;
-    let confidence = rule.confidence_or(opts.confidence);
-    let start = Instant::now();
-    let mut chunks = 0u64;
-    let mut hint = opts.chunk_rows;
-    let cap = opts.chunk_rows.saturating_mul(ADAPTIVE_CHUNK_CAP_FACTOR);
-    let mut prev_rel: Option<f64> = None;
-    loop {
-        let chunk = stream.next_batch(hint)?;
-        let exhausted = chunk.is_empty();
-        let known_groups = acc.group_count();
-        push_grouped_chunk(&mut acc, &key_kernels, &dim_eval, &chunk)?;
-        chunks += 1;
-        let new_groups = (acc.group_count() - known_groups) as u64;
-        let (snapshot, reason) = grouped_tick(
-            &acc,
-            aggs,
-            &layout,
-            &analysis.gus,
-            &analysis.gus_tree,
-            stream.progress(),
-            &stream.progress_tree(),
-            opts,
-            confidence,
-            chunks,
-            new_groups,
-            &group_exprs,
-            exhausted,
-            ctx.cancelled(),
-            false,
-            &start,
-        )?;
-        on_snapshot(&snapshot);
-        if let Some(reason) = reason {
-            return Ok(GroupedOnlineResult {
-                reason,
-                snapshot,
-                chunks,
-                analysis,
+
+    /// Read every discovered group out of `acc` under `gus`, in
+    /// deterministic key order, apply the top-K tracking policy, and return
+    /// the table plus the tracked worst relative half-width.
+    pub(crate) fn groups(
+        &self,
+        acc: &GroupedMomentAccumulator<Vec<Value>>,
+        gus: &GusParams,
+    ) -> Result<(Vec<GroupProgress>, Option<f64>)> {
+        let mut keys: Vec<Vec<Value>> = acc.keys().cloned().collect();
+        keys.sort();
+        let mut groups = Vec::with_capacity(keys.len());
+        for key in keys {
+            let slot = acc.group(&key).expect("key just listed");
+            let agg_results = self.aggs.results(&slot.report(gus)?);
+            let rel = worst_rel_half_width(&agg_results);
+            let converged = match (self.rule.ci_target, rel) {
+                (Some(t), Some(r)) => r.is_finite() && r <= t.epsilon,
+                _ => false,
+            };
+            groups.push(GroupProgress {
+                key,
+                aggs: agg_results,
+                sample_rows: slot.count(),
+                rel_half_width: rel,
+                converged,
+                tracked: true,
             });
         }
-        if opts.adaptive_chunks {
-            hint = adapt_chunk_hint(hint, cap, &mut prev_rel, snapshot.rel_half_width);
+        apply_top_k_policy(&mut groups, self.ci_top_k);
+        let rel_half_width = tracked_rel_half_width(&groups);
+        Ok((groups, rel_half_width))
+    }
+}
+
+impl Feed for GroupedReadout<'_> {
+    type Acc = GroupedMomentAccumulator<Vec<Value>>;
+
+    fn new_acc(&self) -> Self::Acc {
+        GroupedMomentAccumulator::new(self.aggs.relations, self.aggs.layout.dims())
+    }
+
+    /// Route one chunk into the grouped accumulator: evaluate the key
+    /// kernels and the aggregate dimensions once per chunk, partition the
+    /// rows by a 64-bit key fingerprint, and feed each partition through the
+    /// amortized [`GroupedMomentAccumulator::push_batch`] path — the group
+    /// key tuple is materialized once per (chunk × group), not once per row.
+    /// Rows whose key collides with a different key's fingerprint
+    /// (astronomically rare; detected by comparing against the partition's
+    /// representative row) fall back to individual pushes with their own
+    /// key.
+    fn push(&self, acc: &mut Self::Acc, chunk: &ColumnarChunk) -> Result<()> {
+        let key_cols: Vec<ColumnVec> = self
+            .keys
+            .iter()
+            .map(|k| k.eval_column(&chunk.batch))
+            .collect::<std::result::Result<_, _>>()
+            .map_err(|e| Error::Exec(ExecError::Expr(e)))?;
+        let f_cols = self.aggs.dim_eval.eval(&chunk.batch)?;
+        let rows = chunk.rows();
+        // Partition row indices by key fingerprint, in first-seen order (the
+        // accumulation order is deterministic for a fixed seed and chunking).
+        let mut parts: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
+        let mut order: Vec<u64> = Vec::new();
+        for i in 0..rows {
+            let mut h = FxHasher::default();
+            for c in &key_cols {
+                c.hash_cell(i, &mut h);
+            }
+            // splitmix64 finalization: cell hashes carry their entropy in the
+            // high bits (f64 bit patterns), which Fx's multiply-only mixing
+            // never propagates down into the map's bucket-index bits.
+            let fp = sa_core::hash::splitmix64(h.finish());
+            parts
+                .entry(fp)
+                .or_insert_with(|| {
+                    order.push(fp);
+                    Vec::new()
+                })
+                .push(i as u32);
         }
+        let materialize_key =
+            |row: usize| -> Vec<Value> { key_cols.iter().map(|c| c.value(row)).collect() };
+        let mut lin_scratch: Vec<Vec<u64>> = vec![Vec::new(); chunk.lineage.len()];
+        let mut f_scratch: Vec<Vec<f64>> = vec![Vec::new(); f_cols.len()];
+        for fp in order {
+            let idxs = &parts[&fp];
+            let rep = idxs[0] as usize;
+            for s in lin_scratch.iter_mut() {
+                s.clear();
+            }
+            for s in f_scratch.iter_mut() {
+                s.clear();
+            }
+            let mut stragglers: Vec<u32> = Vec::new();
+            for &i in idxs {
+                let i = i as usize;
+                // Stored-key collision check against the representative row.
+                if i != rep && !key_cols.iter().all(|c| group_cell_eq(c, i, rep)) {
+                    stragglers.push(i as u32);
+                    continue;
+                }
+                for (s, l) in lin_scratch.iter_mut().zip(&chunk.lineage) {
+                    s.push(l[i]);
+                }
+                for (s, f) in f_scratch.iter_mut().zip(&f_cols) {
+                    s.push(f[i]);
+                }
+            }
+            let lineage: Vec<&[u64]> = lin_scratch.iter().map(|s| s.as_slice()).collect();
+            let f: Vec<&[f64]> = f_scratch.iter().map(|s| s.as_slice()).collect();
+            acc.push_batch(materialize_key(rep), &lineage, &f)?;
+            for i in stragglers {
+                let i = i as usize;
+                let lin: Vec<u64> = chunk.lineage.iter().map(|l| l[i]).collect();
+                let fv: Vec<f64> = f_cols.iter().map(|f| f[i]).collect();
+                acc.push(materialize_key(i), &lin, &fv)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn absorb(&self, acc: &mut Self::Acc, delta: &Self::Acc) -> Result<()> {
+        Ok(acc.merge(delta)?)
+    }
+
+    fn rows(&self, acc: &Self::Acc) -> u64 {
+        acc.count()
     }
 }
 
@@ -223,271 +273,28 @@ fn group_cell_eq(col: &ColumnVec, i: usize, j: usize) -> bool {
     }
 }
 
-/// Route one columnar chunk into the grouped accumulator: evaluate the key
-/// kernels and the aggregate dimensions once per chunk, partition the rows
-/// by a 64-bit key fingerprint, and feed each partition through the
-/// amortized [`GroupedMomentAccumulator::push_batch`] path — the group key
-/// tuple is materialized once per (chunk × group), not once per row. Rows
-/// whose key collides with a different key's fingerprint (astronomically
-/// rare; detected by comparing against the partition's representative row)
-/// fall back to individual pushes with their own key.
-pub(crate) fn push_grouped_chunk(
-    acc: &mut GroupedMomentAccumulator<Vec<Value>>,
-    key_kernels: &[CompiledExpr],
-    dim_eval: &BatchDimEval,
-    chunk: &ColumnarChunk,
-) -> Result<()> {
-    if chunk.is_empty() {
-        return Ok(());
+impl Readout for GroupedReadout<'_> {
+    fn read(&self, acc: &Self::Acc, gus: GusParams, tick: Tick<'_>) -> Result<Snapshot> {
+        let (groups, rel_half_width) = self.groups(acc, &gus)?;
+        // Discovery is judged on the merged view: a group two workers found
+        // independently still counts as one discovery.
+        let known = tick
+            .prev
+            .and_then(Snapshot::as_grouped)
+            .map_or(0, |p| p.groups.len());
+        Ok(Snapshot::Grouped(GroupedProgressSnapshot {
+            chunk: tick.chunk,
+            rows: acc.count(),
+            group_exprs: self.group_exprs.clone(),
+            new_groups: groups.len().saturating_sub(known) as u64,
+            groups,
+            rel_half_width,
+            confidence: self.aggs.confidence,
+            progress: tick.progress,
+            gus,
+            elapsed: tick.elapsed,
+        }))
     }
-    let key_cols: Vec<ColumnVec> = key_kernels
-        .iter()
-        .map(|k| k.eval_column(&chunk.batch))
-        .collect::<std::result::Result<_, _>>()
-        .map_err(|e| Error::Exec(ExecError::Expr(e)))?;
-    let f_cols = dim_eval.eval(&chunk.batch)?;
-    let rows = chunk.rows();
-    // Partition row indices by key fingerprint, in first-seen order (the
-    // accumulation order is deterministic for a fixed seed and chunking).
-    let mut parts: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-    let mut order: Vec<u64> = Vec::new();
-    for i in 0..rows {
-        let mut h = FxHasher::default();
-        for c in &key_cols {
-            c.hash_cell(i, &mut h);
-        }
-        // splitmix64 finalization: cell hashes carry their entropy in the
-        // high bits (f64 bit patterns), which Fx's multiply-only mixing
-        // never propagates down into the map's bucket-index bits.
-        let fp = sa_core::hash::splitmix64(h.finish());
-        parts
-            .entry(fp)
-            .or_insert_with(|| {
-                order.push(fp);
-                Vec::new()
-            })
-            .push(i as u32);
-    }
-    let materialize_key =
-        |row: usize| -> Vec<Value> { key_cols.iter().map(|c| c.value(row)).collect() };
-    let mut lin_scratch: Vec<Vec<u64>> = vec![Vec::new(); chunk.lineage.len()];
-    let mut f_scratch: Vec<Vec<f64>> = vec![Vec::new(); f_cols.len()];
-    for fp in order {
-        let idxs = &parts[&fp];
-        let rep = idxs[0] as usize;
-        for s in lin_scratch.iter_mut() {
-            s.clear();
-        }
-        for s in f_scratch.iter_mut() {
-            s.clear();
-        }
-        let mut stragglers: Vec<u32> = Vec::new();
-        for &i in idxs {
-            let i = i as usize;
-            // Stored-key collision check against the representative row.
-            if i != rep && !key_cols.iter().all(|c| group_cell_eq(c, i, rep)) {
-                stragglers.push(i as u32);
-                continue;
-            }
-            for (s, l) in lin_scratch.iter_mut().zip(&chunk.lineage) {
-                s.push(l[i]);
-            }
-            for (s, f) in f_scratch.iter_mut().zip(&f_cols) {
-                s.push(f[i]);
-            }
-        }
-        let lineage: Vec<&[u64]> = lin_scratch.iter().map(|s| s.as_slice()).collect();
-        let f: Vec<&[f64]> = f_scratch.iter().map(|s| s.as_slice()).collect();
-        acc.push_batch(materialize_key(rep), &lineage, &f)?;
-        for i in stragglers {
-            let i = i as usize;
-            let lin: Vec<u64> = chunk.lineage.iter().map(|l| l[i]).collect();
-            let fv: Vec<f64> = f_cols.iter().map(|f| f[i]).collect();
-            acc.push(materialize_key(i), &lin, &fv)?;
-        }
-    }
-    Ok(())
-}
-
-/// Build the snapshot for one tick of the grouped loop and judge the
-/// stopping rule (degradation wins, then exhaustion, then cancellation,
-/// then the hard deadline, then the rule) — the per-tick readout shared
-/// verbatim by the sequential loop and the parallel coordinator, so the
-/// two paths cannot diverge in snapshot semantics or stop precedence.
-#[allow(clippy::too_many_arguments)]
-fn grouped_tick(
-    acc: &GroupedMomentAccumulator<Vec<Value>>,
-    aggs: &[AggSpec],
-    layout: &DimLayout,
-    plan_gus: &GusParams,
-    gus_tree: &GusTree,
-    progress: Vec<(u64, u64)>,
-    prog_tree: &ProgressTree,
-    opts: &QueryOptions,
-    confidence: f64,
-    chunk: u64,
-    new_groups: u64,
-    group_exprs: &[String],
-    exhausted: bool,
-    cancelled: bool,
-    degraded: bool,
-    start: &Instant,
-) -> Result<(GroupedProgressSnapshot, Option<StopReason>)> {
-    let rule = &opts.rule;
-    let gus = if opts.scale_to_population {
-        scale_gus_tree(gus_tree, prog_tree)?
-    } else {
-        plan_gus.clone()
-    };
-    let (groups, rel_half_width) =
-        group_progress_table(acc, aggs, layout, rule, confidence, opts.ci_top_k, &gus)?;
-    let snapshot = GroupedProgressSnapshot {
-        chunk,
-        rows: acc.count(),
-        group_exprs: group_exprs.to_vec(),
-        groups,
-        new_groups,
-        rel_half_width,
-        confidence,
-        progress,
-        gus,
-        elapsed: start.elapsed(),
-    };
-    let reason = if degraded {
-        // A fault was contained mid-run (a panicked worker shard): every
-        // group's readout covers exactly the absorbed prefix — a valid,
-        // merely smaller, sample. Degradation outranks even exhaustion.
-        Some(StopReason::Degraded)
-    } else if exhausted {
-        Some(StopReason::Exhausted)
-    } else if cancelled {
-        // A cancelled loop still emits this snapshot: the accumulated
-        // prefix is a valid mid-stream estimate for every group.
-        Some(StopReason::Cancelled)
-    } else if opts.deadline.is_some_and(|d| snapshot.elapsed >= d) {
-        // The hard deadline cancels the run even when the caller's soft
-        // rule never fires.
-        Some(StopReason::Deadline)
-    } else {
-        rule.should_stop(rel_half_width, snapshot.rows, snapshot.elapsed)
-    };
-    Ok((snapshot, reason))
-}
-
-/// Read every discovered group out of `acc` under `gus`, in deterministic
-/// key order, apply the top-K tracking policy, and return the table plus
-/// the tracked worst relative half-width — the per-snapshot readout shared
-/// by the sequential and shard-parallel grouped loops.
-fn group_progress_table(
-    acc: &GroupedMomentAccumulator<Vec<Value>>,
-    aggs: &[AggSpec],
-    layout: &DimLayout,
-    rule: &StoppingRule,
-    confidence: f64,
-    ci_top_k: Option<usize>,
-    gus: &GusParams,
-) -> Result<(Vec<GroupProgress>, Option<f64>)> {
-    let mut keys: Vec<Vec<Value>> = acc.keys().cloned().collect();
-    keys.sort();
-    let mut groups = Vec::with_capacity(keys.len());
-    for key in keys {
-        let slot = acc.group(&key).expect("key just listed");
-        let report = slot.report(gus)?;
-        let agg_results = agg_results_from_report(aggs, layout, &report, confidence);
-        let rel = worst_rel_half_width(&agg_results);
-        let converged = match (rule.ci_target, rel) {
-            (Some(t), Some(r)) => r.is_finite() && r <= t.epsilon,
-            _ => false,
-        };
-        groups.push(GroupProgress {
-            key,
-            aggs: agg_results,
-            sample_rows: slot.count(),
-            rel_half_width: rel,
-            converged,
-            tracked: true,
-        });
-    }
-    apply_top_k_policy(&mut groups, ci_top_k);
-    let rel_half_width = tracked_rel_half_width(&groups);
-    Ok((groups, rel_half_width))
-}
-
-/// The shard-parallel grouped loop: one worker per partitioned stream
-/// routing rows into a thread-local [`GroupedMomentAccumulator`]; the
-/// coordinator absorbs the queued per-chunk deltas per tick and judges the
-/// per-group rule exactly as the sequential loop does (see
-/// [`crate::parallel`]).
-#[allow(clippy::too_many_arguments)]
-fn drive_grouped_parallel(
-    analysis: SoaAnalysis,
-    aggs: &[AggSpec],
-    streams: Vec<ChunkStream>,
-    layout: DimLayout,
-    key_kernels: Vec<CompiledExpr>,
-    group_exprs: Vec<String>,
-    opts: &QueryOptions,
-    ctx: &RunCtx,
-    mut on_snapshot: impl FnMut(&GroupedProgressSnapshot),
-) -> Result<GroupedOnlineResult> {
-    let n = analysis.schema.n();
-    let dims = layout.dims();
-    let dim_eval = layout.compile_batch(streams[0].schema())?;
-    let rule = &opts.rule;
-    let confidence = rule.confidence_or(opts.confidence);
-    let start = Instant::now();
-    let mut chunks = 0u64;
-    let mut known_groups = 0usize;
-    let mut last: Option<GroupedProgressSnapshot> = None;
-    let layout = &layout;
-    let dim_eval = &dim_eval;
-    let key_kernels = &key_kernels;
-    let (_, reason) = run_worker_pool(
-        streams,
-        opts.chunk_rows,
-        &ctx.pool,
-        || GroupedMomentAccumulator::<Vec<Value>>::new(n, dims),
-        |acc: &mut GroupedMomentAccumulator<Vec<Value>>, chunk: &ColumnarChunk| {
-            push_grouped_chunk(acc, key_kernels, dim_eval, chunk)
-        },
-        |merged, progress, exhausted, degraded| {
-            chunks += 1;
-            // Discovery is judged on the merged view: a group two shards
-            // found independently still counts as one discovery.
-            let new_groups = merged.group_count().saturating_sub(known_groups) as u64;
-            known_groups = merged.group_count();
-            // Flat summed worker coverage; union plans never reach this
-            // loop (partitioned opens refuse them).
-            let prog_tree = ProgressTree::Leaf(progress.to_vec());
-            let (snapshot, reason) = grouped_tick(
-                merged,
-                aggs,
-                layout,
-                &analysis.gus,
-                &analysis.gus_tree,
-                progress.to_vec(),
-                &prog_tree,
-                opts,
-                confidence,
-                chunks,
-                new_groups,
-                &group_exprs,
-                exhausted,
-                ctx.cancelled(),
-                degraded,
-                &start,
-            )?;
-            on_snapshot(&snapshot);
-            last = Some(snapshot);
-            Ok(reason)
-        },
-    )?;
-    Ok(GroupedOnlineResult {
-        reason,
-        snapshot: last.expect("the pool judges at least one tick"),
-        chunks,
-        analysis,
-    })
 }
 
 /// Demote all but the `k` groups with the largest absolute first-aggregate
@@ -523,12 +330,9 @@ fn apply_top_k_policy(groups: &mut [GroupProgress], ci_top_k: Option<usize>) {
 /// exists or any tracked group is not yet estimable — a CI target never
 /// fires on partial information.
 fn tracked_rel_half_width(groups: &[GroupProgress]) -> Option<f64> {
-    let mut worst = None;
-    for g in groups.iter().filter(|g| g.tracked) {
-        let r = g.rel_half_width?;
-        worst = Some(f64::max(worst.unwrap_or(0.0), r));
-    }
-    worst
+    let mut tracked = groups.iter().filter(|g| g.tracked).peekable();
+    tracked.peek()?;
+    tracked.try_fold(0.0f64, |worst, g| Some(worst.max(g.rel_half_width?)))
 }
 
 /// Collapse a grouped snapshot's tracked view into the scalar snapshot
@@ -554,14 +358,14 @@ pub fn group_snapshot(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::RunCtx;
+    use crate::driver::{run, RunCtx};
     use crate::Engine;
     use sa_exec::{f_vector, layout_dims, open_stream, ExecOptions};
     use sa_expr::col;
     use sa_expr::{bind, eval};
-    use sa_plan::{AggSpec, StoppingRule};
+    use sa_plan::{AggSpec, LogicalPlan, SoaAnalysis, StopReason, StoppingRule};
     use sa_sampling::SamplingMethod;
-    use sa_storage::{DataType, Field, Schema, TableBuilder};
+    use sa_storage::{Catalog, DataType, Field, TableBuilder};
     use std::time::Duration;
 
     /// `t(g, v)`: group "A" = 3000 rows of v=1, "B" = 1500 rows of v=2,
@@ -601,21 +405,32 @@ mod tests {
         }
     }
 
+    /// A grouped run's result with its snapshot unwrapped.
+    #[derive(Debug)]
+    struct GroupedRun {
+        reason: StopReason,
+        snapshot: GroupedProgressSnapshot,
+        chunks: u64,
+        analysis: SoaAnalysis,
+    }
+
     fn drive(
         plan: &LogicalPlan,
         group_by: &[Expr],
         catalog: &Catalog,
         opts: &QueryOptions,
-        on_snapshot: impl FnMut(&GroupedProgressSnapshot),
-    ) -> Result<GroupedOnlineResult> {
-        drive_grouped(
-            plan,
-            group_by,
-            catalog,
-            opts,
-            &RunCtx::default(),
-            on_snapshot,
-        )
+        mut on_snapshot: impl FnMut(&GroupedProgressSnapshot),
+    ) -> Result<GroupedRun> {
+        let grouped = |s: &Snapshot| s.as_grouped().expect("grouped plan").clone();
+        let r = run(plan, group_by, catalog, opts, &RunCtx::default(), |s| {
+            on_snapshot(&grouped(s))
+        })?;
+        Ok(GroupedRun {
+            reason: r.reason,
+            snapshot: grouped(&r.snapshot),
+            chunks: r.chunks,
+            analysis: r.analysis,
+        })
     }
 
     #[test]
@@ -839,13 +654,6 @@ mod tests {
         assert_eq!(snaps, r.chunks);
         assert!((r.snapshot.confidence() - 0.95).abs() < 1e-12);
         assert_eq!(r.snapshot.as_grouped().unwrap().groups.len(), 3);
-    }
-
-    #[test]
-    fn empty_group_keys_rejected() {
-        let c = catalog();
-        let err = drive(&sum_plan(0.5), &[], &c, &QueryOptions::default(), |_| {}).unwrap_err();
-        assert!(err.to_string().contains("GROUP BY"), "{err}");
     }
 
     #[test]

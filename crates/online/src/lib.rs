@@ -28,9 +28,10 @@
 //!   columnar scan — N queries cost ~1 scan, and a query attaching
 //!   mid-scan is just a scan-prefix *origin shift* in the Proposition-8
 //!   scaling (its exhaustion readout still equals the batch estimator);
-//! * **shard parallelism** ([`QueryOptions::parallelism`], `--jobs N` in
-//!   the CLI): both loops can fan the sampled plan out over N worker
-//!   threads via `sa_exec::open_stream_partitioned`.
+//! * **one loop**: scalar and grouped, progressive and batch queries all
+//!   run one worker pool — one stream inline on the calling thread, or
+//!   ([`QueryOptions::parallelism`], `--jobs N` in the CLI) N worker
+//!   threads over `sa_exec::open_stream_partitioned` slices.
 //!
 //! For any fixed prefix of consumed tuples the incremental estimate and
 //! variance equal the batch estimator's output on that prefix (up to float
@@ -71,10 +72,10 @@ pub mod grouped;
 pub(crate) mod parallel;
 
 pub use api::{BatchOutput, QueryOptions, QueryResult, Snapshot};
-pub use driver::{OnlineResult, ProgressSnapshot};
+pub use driver::ProgressSnapshot;
 pub use engine::{Engine, EngineBuilder, QueryBuilder, QueryHandle, Session};
 pub use error::Error;
-pub use grouped::{group_snapshot, GroupProgress, GroupedOnlineResult, GroupedProgressSnapshot};
+pub use grouped::{group_snapshot, GroupProgress, GroupedProgressSnapshot};
 // The vocabulary types callers need alongside the driver.
 pub use sa_obs::{Event, EventKind, HistogramSnapshot, MetricsSnapshot, Registry};
 pub use sa_plan::{CiTarget, StopReason, StoppingRule};

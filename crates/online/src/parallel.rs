@@ -1,4 +1,21 @@
-//! The shard-parallel worker pool behind `parallelism > 1`.
+//! The worker pool: the one loop every query runs, progressive or batch.
+//!
+//! [`run_worker_pool`] pulls chunks from the opened stream(s), pushes them
+//! into an accumulator through a [`Feed`], and after every tick hands the
+//! accumulator and the scan coverage to a `judge` that reads out and
+//! decides whether to stop (see [`crate::driver`]).
+//!
+//! ## One stream: the inline worker
+//!
+//! A single stream runs inline on the calling thread: no thread, no delta
+//! to merge. Each chunk is pushed straight into the global accumulator and
+//! judged at once, one tick per pull, so a fixed `(plan, seed,
+//! chunk_rows)` replays the same snapshots bit for bit. It reports the
+//! stream's own [`ChunkStream::progress_tree`] (per-branch union scaling, a
+//! shared hub's scan-origin shift) and pulls with the hint the judge
+//! returns, which [`crate::QueryOptions::adaptive_chunks`] can grow.
+//!
+//! ## N streams: threaded workers
 //!
 //! The paper's estimator makes parallel online aggregation almost free:
 //! second-moment state composes exactly under
@@ -21,9 +38,9 @@
 //! per-tick cost is proportional to the *new* rows, never the total — sums
 //! per-shard scan progress (slices report slice-relative `(consumed,
 //! available)`, so the sums are true per-relation coverage and the Prop-8
-//! prefix scaling is unchanged), and judges the stopping rule exactly as
-//! the sequential loop does. On stop it raises a cancellation flag;
-//! workers observe it at their next chunk boundary.
+//! prefix scaling is unchanged), and judges exactly as for one stream.
+//! Workers pull a fixed `chunk_rows`. On stop the coordinator raises a
+//! cancellation flag; workers observe it at their next chunk boundary.
 //!
 //! Mid-run snapshot *timing* depends on thread scheduling (which worker
 //! pings first), and so does the merge interleaving — estimates are exact
@@ -43,21 +60,27 @@
 //! coverage and bias the readout; with it, the surviving global state
 //! covers exactly the absorbed prefix — a valid, merely smaller, sample.
 //! The coordinator observes the `panicked` flag and judges one final tick
-//! with `degraded = true`, which the drivers report as
-//! [`sa_plan::StopReason::Degraded`]. Shard locks are acquired with
+//! with `degraded = true`, which a progressive run reports as
+//! [`sa_plan::StopReason::Degraded`] and a batch run as an error. The
+//! inline worker has no such containment: there is no delta to discard,
+//! so a panic there unwinds to the caller. Shard locks are acquired with
 //! explicit poison recovery everywhere, so even a panic at an unexpected
 //! point cannot wedge the pool.
 
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
-use sa_exec::{ChunkStream, ColumnarChunk};
+use sa_exec::{ChunkStream, ColumnarChunk, ProgressTree};
 use sa_obs::{Counter, Histogram};
-use sa_storage::Value;
+use sa_plan::StopReason;
 
 use crate::error::Error;
 use crate::Result;
+
+/// Per-relation `(consumed, available)` scan coverage.
+type Progress = Vec<(u64, u64)>;
 
 /// The worker pool's observability handles, threaded in through
 /// [`crate::driver::RunCtx`]. The default (disabled) handles make every
@@ -80,34 +103,23 @@ pub(crate) struct PoolObs {
     pub(crate) panics: Counter,
 }
 
-/// An accumulator that can absorb a shard built over the same lineage
-/// schema — the merge the coordinator folds worker state with. Deltas are
-/// *moved* from worker queues to the coordinator (no cloning), so `Send`
-/// is the only marker required.
-pub(crate) trait ShardAccumulator: Send {
-    /// Merge `other` into `self` (exact, order-insensitive up to float
-    /// associativity).
-    fn absorb(&mut self, other: &Self) -> Result<()>;
-    /// Rows consumed so far (used to skip no-change snapshot ticks).
-    fn rows(&self) -> u64;
-}
-
-impl ShardAccumulator for sa_core::MomentAccumulator {
-    fn absorb(&mut self, other: &Self) -> Result<()> {
-        self.merge(other).map_err(Error::Core)
-    }
-    fn rows(&self) -> u64 {
-        self.count()
-    }
-}
-
-impl ShardAccumulator for sa_core::GroupedMomentAccumulator<Vec<Value>> {
-    fn absorb(&mut self, other: &Self) -> Result<()> {
-        self.merge(other).map_err(Error::Core)
-    }
-    fn rows(&self) -> u64 {
-        self.count()
-    }
+/// The worker side of a query: make an accumulator, push one columnar
+/// chunk into it (the per-chunk batch path — workers never touch rows one
+/// at a time), and fold a worker's delta into the global accumulator.
+/// Shared by every worker thread, hence `Sync`; deltas are *moved* from
+/// worker queues to the coordinator, hence `Send`.
+pub(crate) trait Feed: Sync {
+    /// The accumulator a worker (or the inline loop) fills.
+    type Acc: Send;
+    /// A fresh, empty accumulator.
+    fn new_acc(&self) -> Self::Acc;
+    /// Accumulate one non-empty chunk.
+    fn push(&self, acc: &mut Self::Acc, chunk: &ColumnarChunk) -> Result<()>;
+    /// Merge `delta`, built over the same lineage schema, into `acc`
+    /// (exact, order-insensitive up to float associativity).
+    fn absorb(&self, acc: &mut Self::Acc, delta: &Self::Acc) -> Result<()>;
+    /// Rows accumulated so far (used to skip no-change snapshot ticks).
+    fn rows(&self, acc: &Self::Acc) -> u64;
 }
 
 /// One worker's published state: per-chunk delta accumulators queued since
@@ -149,31 +161,48 @@ fn lock_shard<A>(m: &Mutex<ShardState<A>>) -> MutexGuard<'_, ShardState<A>> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Drive `streams.len()` worker threads over their disjoint slices and
-/// judge the stopping rule on the merged state after every tick.
+/// Run the query's stream(s) to a stop, judging after every tick.
 ///
-/// `push_chunk` accumulates one whole columnar chunk into a shard-local
-/// delta (the per-chunk batch path — workers never touch rows one at a
-/// time). `judge` is called on the coordinator thread with the merged
-/// accumulator, the summed per-relation progress, whether *every* shard
-/// has drained, and whether any shard's worker panicked and was contained;
-/// it emits the snapshot and returns `Some(reason)` to stop (it must
-/// return `Some` when `exhausted` or `degraded` is true — there will be no
-/// further tick). The final merged accumulator and the stop reason are
-/// returned; workers are joined before this function returns.
-pub(crate) fn run_worker_pool<A, P, J>(
-    streams: Vec<ChunkStream>,
+/// One stream runs inline on the calling thread; N streams run one worker
+/// thread each (see the module docs). `judge` is called with the global
+/// accumulator, the per-relation `(consumed, available)` coverage (summed
+/// over workers), the same coverage shaped like the plan's unions and
+/// joins (one flat leaf for workers, which never see a union), whether
+/// *every* stream has drained, and whether a worker panicked and was
+/// contained. It returns `Break(reason)` to stop — it must when
+/// `exhausted` or `degraded` is true, as there will be no further tick —
+/// or `Continue(hint)` with the row hint for the inline worker's next pull
+/// (threaded workers keep `chunk_rows`). The final accumulator and the
+/// stop reason are returned; workers are joined before this function
+/// returns.
+pub(crate) fn run_worker_pool<F, J>(
+    mut streams: Vec<ChunkStream>,
     chunk_rows: usize,
     obs: &PoolObs,
-    new_acc: impl Fn() -> A + Sync,
-    push_chunk: P,
+    feed: &F,
     mut judge: J,
-) -> Result<(A, sa_plan::StopReason)>
+) -> Result<(F::Acc, StopReason)>
 where
-    A: ShardAccumulator,
-    P: Fn(&mut A, &ColumnarChunk) -> Result<()> + Sync,
-    J: FnMut(&A, &[(u64, u64)], bool, bool) -> Result<Option<sa_plan::StopReason>>,
+    F: Feed,
+    J: FnMut(&F::Acc, Progress, ProgressTree, bool, bool) -> Result<ControlFlow<StopReason, usize>>,
 {
+    if streams.len() == 1 {
+        let mut stream = streams.pop().expect("one stream");
+        let mut acc = feed.new_acc();
+        let mut hint = chunk_rows;
+        loop {
+            let chunk = stream.next_batch(hint)?;
+            let exhausted = chunk.is_empty();
+            if !exhausted {
+                feed.push(&mut acc, &chunk)?;
+            }
+            let (progress, tree) = (stream.progress(), stream.progress_tree());
+            match judge(&acc, progress, tree, exhausted, false)? {
+                ControlFlow::Break(reason) => return Ok((acc, reason)),
+                ControlFlow::Continue(next) => hint = next,
+            }
+        }
+    }
     let nrels = streams.first().map(|s| s.relations().len()).unwrap_or(0);
     // Backpressure: a worker pauses once its un-drained deltas hold two
     // chunks' worth of rows, until the coordinator drains them. This bounds
@@ -181,7 +210,7 @@ where
     // O(workers × chunk_rows) without throttling steady-state throughput —
     // the coordinator drains every tick.
     let backpressure = 2 * chunk_rows.max(1) as u64;
-    let shards: Vec<Shard<A>> = streams
+    let shards: Vec<Shard<F::Acc>> = streams
         .iter()
         .map(|s| Shard {
             state: Mutex::new(ShardState {
@@ -202,8 +231,6 @@ where
         for (stream, shard) in streams.into_iter().zip(&shards) {
             let tx = tx.clone();
             let cancel = &cancel;
-            let push_chunk = &push_chunk;
-            let new_acc = &new_acc;
             scope.spawn(move || {
                 worker_loop(
                     stream,
@@ -211,15 +238,14 @@ where
                     backpressure,
                     shard,
                     obs,
-                    new_acc,
-                    push_chunk,
+                    feed,
                     cancel,
                     tx,
                 )
             });
         }
         drop(tx); // the coordinator's recv() errors once every worker exits
-        let mut global = new_acc();
+        let mut global = feed.new_acc();
         let out = (|| {
             let mut last_judged: Option<u64> = None;
             loop {
@@ -256,7 +282,7 @@ where
                     };
                     shard.drained.notify_all();
                     for delta in &deltas {
-                        global.absorb(delta)?;
+                        feed.absorb(&mut global, delta)?;
                     }
                 }
                 if let Some(t) = merge_start {
@@ -268,11 +294,15 @@ where
                 // the exhaustion or degradation verdict. Quiet gaps are
                 // bounded by one chunk, so a time budget still fires
                 // promptly.
-                if last_judged == Some(global.rows()) && !exhausted && !degraded {
+                let rows = feed.rows(&global);
+                if last_judged == Some(rows) && !exhausted && !degraded {
                     continue;
                 }
-                last_judged = Some(global.rows());
-                if let Some(reason) = judge(&global, &progress, exhausted, degraded)? {
+                last_judged = Some(rows);
+                let tree = ProgressTree::Leaf(progress.clone());
+                if let ControlFlow::Break(reason) =
+                    judge(&global, progress, tree, exhausted, degraded)?
+                {
                     return Ok(reason);
                 }
             }
@@ -296,20 +326,16 @@ where
 /// coordinator — pausing under backpressure — until drained, cancelled or
 /// failed.
 #[allow(clippy::too_many_arguments)]
-fn worker_loop<A, P>(
+fn worker_loop<F: Feed>(
     mut stream: ChunkStream,
     chunk_rows: usize,
     backpressure: u64,
-    shard: &Shard<A>,
+    shard: &Shard<F::Acc>,
     obs: &PoolObs,
-    new_acc: &(impl Fn() -> A + Sync),
-    push_chunk: &P,
+    feed: &F,
     cancel: &AtomicBool,
     tx: mpsc::Sender<()>,
-) where
-    A: ShardAccumulator,
-    P: Fn(&mut A, &ColumnarChunk) -> Result<()> + Sync,
-{
+) {
     let fail = |e: Error| {
         let mut s = lock_shard(&shard.state);
         s.error = Some(e);
@@ -327,7 +353,7 @@ fn worker_loop<A, P>(
         // abandons the shard: `stream` and the local delta are never
         // observed again.
         let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-            || -> Result<(Option<A>, usize, bool)> {
+            || -> Result<(Option<F::Acc>, usize, bool)> {
                 if sa_fault::hit(sa_fault::sites::WORKER_STALL) {
                     std::thread::sleep(std::time::Duration::from_millis(2));
                 }
@@ -338,8 +364,8 @@ fn worker_loop<A, P>(
                 let exhausted = chunk.is_empty();
                 let mut delta = None;
                 if !exhausted {
-                    let mut local = new_acc();
-                    push_chunk(&mut local, &chunk)?;
+                    let mut local = feed.new_acc();
+                    feed.push(&mut local, &chunk)?;
                     delta = Some(local);
                 }
                 Ok((delta, chunk.rows(), exhausted))

@@ -72,9 +72,11 @@ pub enum StopReason {
     Degraded,
 }
 
-impl fmt::Display for StopReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+impl StopReason {
+    /// The reason's display form, as a static string (metric labels and
+    /// journal events store no allocations).
+    pub fn as_str(self) -> &'static str {
+        match self {
             StopReason::CiConverged => "ci-converged",
             StopReason::RowBudget => "row-budget",
             StopReason::TimeBudget => "time-budget",
@@ -82,7 +84,13 @@ impl fmt::Display for StopReason {
             StopReason::Cancelled => "cancelled",
             StopReason::Deadline => "deadline",
             StopReason::Degraded => "degraded",
-        })
+        }
+    }
+}
+
+impl fmt::Display for StopReason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 

@@ -646,15 +646,15 @@ fn print_grouped_snapshot(s: &GroupedProgressSnapshot) {
 
 /// The final estimates, rendered per result shape.
 fn print_online_summary(r: &QueryResult) {
+    println!(
+        "stopped: {} after {} rows in {} chunks ({} ms)",
+        r.reason,
+        r.snapshot.rows(),
+        r.chunks,
+        r.snapshot.elapsed().as_millis()
+    );
     match &r.snapshot {
         Snapshot::Scalar(s) => {
-            println!(
-                "stopped: {} after {} rows in {} chunks ({} ms)",
-                r.reason,
-                s.rows,
-                r.chunks,
-                s.elapsed.as_millis()
-            );
             println!(
                 "{:<16} {:>16} {:>14} {:>34}",
                 "aggregate", "estimate", "std err", "final normal CI"
@@ -668,13 +668,6 @@ fn print_online_summary(r: &QueryResult) {
             }
         }
         Snapshot::Grouped(s) => {
-            println!(
-                "stopped: {} after {} rows in {} chunks ({} ms)",
-                r.reason,
-                s.rows,
-                r.chunks,
-                s.elapsed.as_millis()
-            );
             println!(
                 "{:<20} {:<12} {:>16} {:>14} {:>34} {:>8}",
                 s.group_exprs.join(", "),

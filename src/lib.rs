@@ -87,9 +87,8 @@ pub mod prelude {
     };
     pub use sa_expr::{col, lit, Expr};
     pub use sa_online::{
-        BatchOutput, Engine, EngineBuilder, GroupedOnlineResult, GroupedProgressSnapshot,
-        OnlineResult, ProgressSnapshot, QueryBuilder, QueryHandle, QueryOptions, QueryResult,
-        Session, Snapshot,
+        BatchOutput, Engine, EngineBuilder, GroupedProgressSnapshot, ProgressSnapshot,
+        QueryBuilder, QueryHandle, QueryOptions, QueryResult, Session, Snapshot,
     };
     pub use sa_plan::{
         render_gus_table, rewrite, AggFunc, AggSpec, LogicalPlan, SoaAnalysis, StopReason,

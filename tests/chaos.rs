@@ -3,7 +3,8 @@
 //!
 //! - a worker panic at a chunk boundary is contained: the query completes
 //!   `reason=degraded` (scalar AND grouped), no poisoned lock escapes, and
-//!   admission slots / shared-scan cursors all return to zero;
+//!   admission slots / shared-scan cursors all return to zero; a batch
+//!   query, which has no stop reason, fails instead;
 //! - a hard deadline cancels-and-reports the last valid snapshot;
 //! - transient injected I/O faults are retried and leave the estimate
 //!   byte-identical to a fault-free run (`f64::to_bits`);
@@ -136,6 +137,45 @@ fn worker_panic_degrades_grouped_query_too() {
         panic!("grouped query");
     };
     assert_eq!(s.groups.len(), 10);
+}
+
+/// A batch query has no stop reason to report a smaller sample with, so a
+/// contained worker panic must fail it — never return a silently smaller
+/// sample — and still release its admission slot.
+#[test]
+fn worker_panic_fails_a_parallel_batch_query() {
+    let _g = guard();
+    fault::reset();
+    let engine = Engine::builder(catalog(50_000)).metrics(true).build();
+    let errors = || {
+        engine
+            .metrics()
+            .counter("sa_query_errors_total")
+            .unwrap_or(0)
+    };
+    let before = errors();
+    fault::install("worker.chunk.panic=hit:3", 5).unwrap();
+    let batch = engine
+        .session()
+        .query(SUM)
+        .seed(1)
+        .jobs(4)
+        .chunk_rows(512)
+        .batch();
+    fault::reset();
+    assert!(batch.is_err(), "a degraded batch must be an error");
+    assert_eq!(engine.active_queries(), 0);
+    assert_eq!(errors(), before + 1);
+    // The same engine serves the next batch in full.
+    let clean = engine
+        .session()
+        .query(SUM)
+        .seed(2)
+        .jobs(4)
+        .chunk_rows(512)
+        .batch()
+        .unwrap();
+    assert!(clean.as_scalar().unwrap().aggs[0].estimate.is_finite());
 }
 
 #[test]

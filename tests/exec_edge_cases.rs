@@ -207,6 +207,76 @@ fn zero_probability_sampler_estimate_degenerate() {
     assert!(batch(&plan, &cat, &QueryOptions::default()).is_err());
 }
 
+/// SQL's `AVG(expr)` divides by the number of non-NULL values, not by
+/// `COUNT(*)`. Over an unsampled plan every entry point must give the
+/// hand-computed answer: the progressive estimator, the batch estimator,
+/// and both exact drivers.
+#[test]
+fn avg_divides_by_the_non_null_count() {
+    let mut cat = Catalog::new();
+    let schema = Schema::new(vec![
+        Field::new("k", DataType::Int),
+        Field::new("v", DataType::Float),
+    ])
+    .unwrap();
+    let mut b = TableBuilder::new("n", schema);
+    let rows = [
+        (0, Some(2.0)),
+        (0, None),
+        (0, Some(4.0)),
+        (1, None),
+        (1, Some(10.0)),
+        (1, Some(20.0)),
+        (1, Some(30.0)),
+        (1, None),
+    ];
+    for (k, v) in rows {
+        b.push_row(&[Value::Int(k), v.map_or(Value::Null, Value::Float)])
+            .unwrap();
+    }
+    cat.register(b.finish().unwrap()).unwrap();
+    let plan = LogicalPlan::scan("n").aggregate(vec![AggSpec::avg(col("v"), "a")]);
+    // (2 + 4 + 10 + 20 + 30) / 5; per group (2 + 4) / 2 and 60 / 3.
+    let (all, by_k) = (13.2, [3.0, 20.0]);
+    let close = |got: f64, want: f64, what: &str| {
+        assert!((got - want).abs() < 1e-12, "{what}: {got} vs {want}");
+    };
+
+    close(exact_query(&plan, &cat).unwrap()[0], all, "exact_query");
+    let exact = exact_group_query(&plan, &[col("k")], &cat).unwrap();
+    for (k, want) in by_k.into_iter().enumerate() {
+        close(
+            exact[&vec![Value::Int(k as i64)]][0],
+            want,
+            "exact_group_query",
+        );
+    }
+
+    let engine = Engine::new(cat);
+    let query = || engine.session().query_plan(&plan);
+    let batch = query().batch().unwrap();
+    close(batch.as_scalar().unwrap().aggs[0].estimate, all, "batch");
+    let run = query().run().unwrap();
+    close(
+        run.snapshot.as_scalar().unwrap().aggs[0].estimate,
+        all,
+        "run",
+    );
+
+    let grouped = || query().group_by(vec![col("k")]);
+    let batch = grouped().batch().unwrap();
+    let run = grouped().run().unwrap();
+    let run = run.snapshot.as_grouped().unwrap();
+    for (k, want) in by_k.into_iter().enumerate() {
+        close(
+            batch.as_grouped().unwrap().groups[k].aggs[0].estimate,
+            want,
+            "grouped batch",
+        );
+        close(run.groups[k].aggs[0].estimate, want, "grouped run");
+    }
+}
+
 /// The one-shot batch estimate of the scalar `plan` (`QueryBuilder::batch`).
 fn batch(
     plan: &LogicalPlan,

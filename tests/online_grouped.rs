@@ -103,7 +103,7 @@ fn acceptance_query_stops_early_once_every_group_converges() {
         .options(opts)
         .run_with(|_| snapshots += 1)
         .unwrap();
-    let r = GroupedOnlineResult {
+    let r = GroupedRun {
         reason: r.reason,
         snapshot: r.snapshot.as_grouped().unwrap().clone(),
         chunks: r.chunks,
@@ -221,6 +221,15 @@ fn acceptance_query_matches_batch_grouped_estimator_at_exhaustion() {
     }
 }
 
+/// A grouped run's result with its snapshot unwrapped.
+#[derive(Debug)]
+struct GroupedRun {
+    reason: StopReason,
+    snapshot: GroupedProgressSnapshot,
+    chunks: u64,
+    analysis: SoaAnalysis,
+}
+
 /// A progressive run of `plan` grouped by `group_by`.
 fn run_grouped(
     plan: &LogicalPlan,
@@ -228,13 +237,13 @@ fn run_grouped(
     catalog: &Catalog,
     opts: &QueryOptions,
     mut on_snapshot: impl FnMut(&GroupedProgressSnapshot),
-) -> Result<GroupedOnlineResult, sampling_algebra::online::Error> {
+) -> Result<GroupedRun, sampling_algebra::online::Error> {
     let query = Engine::new(catalog.clone()).session().query_plan(plan);
     let r = query
         .options(opts.clone())
         .group_by(group_by.to_vec())
         .run_with(|s| on_snapshot(s.as_grouped().expect("grouped plan")))?;
-    Ok(GroupedOnlineResult {
+    Ok(GroupedRun {
         reason: r.reason,
         snapshot: r.snapshot.as_grouped().expect("grouped plan").clone(),
         chunks: r.chunks,

@@ -328,21 +328,36 @@ fn single_worker_replays_byte_identically() {
     assert_eq!(collect(), collect());
 }
 
+/// A scalar run's result with its snapshot unwrapped.
+#[derive(Debug)]
+struct ScalarRun {
+    reason: StopReason,
+    snapshot: ProgressSnapshot,
+    analysis: SoaAnalysis,
+}
+
+/// A grouped run's result with its snapshot unwrapped.
+#[derive(Debug)]
+struct GroupedRun {
+    reason: StopReason,
+    snapshot: GroupedProgressSnapshot,
+    analysis: SoaAnalysis,
+}
+
 /// A progressive run of the scalar `plan` (`QueryBuilder::run_with`).
 fn run(
     plan: &LogicalPlan,
     catalog: &Catalog,
     opts: &QueryOptions,
     mut on_snapshot: impl FnMut(&ProgressSnapshot),
-) -> Result<OnlineResult, sampling_algebra::online::Error> {
+) -> Result<ScalarRun, sampling_algebra::online::Error> {
     let query = Engine::new(catalog.clone()).session().query_plan(plan);
     let r = query
         .options(opts.clone())
         .run_with(|s| on_snapshot(s.as_scalar().expect("scalar plan")))?;
-    Ok(OnlineResult {
+    Ok(ScalarRun {
         reason: r.reason,
         snapshot: r.snapshot.as_scalar().expect("scalar plan").clone(),
-        chunks: r.chunks,
         analysis: r.analysis,
     })
 }
@@ -354,16 +369,15 @@ fn run_grouped(
     catalog: &Catalog,
     opts: &QueryOptions,
     mut on_snapshot: impl FnMut(&GroupedProgressSnapshot),
-) -> Result<GroupedOnlineResult, sampling_algebra::online::Error> {
+) -> Result<GroupedRun, sampling_algebra::online::Error> {
     let query = Engine::new(catalog.clone()).session().query_plan(plan);
     let r = query
         .options(opts.clone())
         .group_by(group_by.to_vec())
         .run_with(|s| on_snapshot(s.as_grouped().expect("grouped plan")))?;
-    Ok(GroupedOnlineResult {
+    Ok(GroupedRun {
         reason: r.reason,
         snapshot: r.snapshot.as_grouped().expect("grouped plan").clone(),
-        chunks: r.chunks,
         analysis: r.analysis,
     })
 }

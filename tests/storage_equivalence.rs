@@ -213,21 +213,24 @@ fn mapped_reopen_replays_byte_identical() {
     assert_eq!(first, second);
 }
 
+/// A scalar run's result with its snapshot unwrapped.
+#[derive(Debug)]
+struct ScalarRun {
+    snapshot: ProgressSnapshot,
+}
+
 /// A progressive run of the scalar `plan` (`QueryBuilder::run_with`).
 fn run(
     plan: &LogicalPlan,
     catalog: &Catalog,
     opts: &QueryOptions,
     mut on_snapshot: impl FnMut(&ProgressSnapshot),
-) -> Result<OnlineResult, sampling_algebra::online::Error> {
+) -> Result<ScalarRun, sampling_algebra::online::Error> {
     let query = Engine::new(catalog.clone()).session().query_plan(plan);
     let r = query
         .options(opts.clone())
         .run_with(|s| on_snapshot(s.as_scalar().expect("scalar plan")))?;
-    Ok(OnlineResult {
-        reason: r.reason,
+    Ok(ScalarRun {
         snapshot: r.snapshot.as_scalar().expect("scalar plan").clone(),
-        chunks: r.chunks,
-        analysis: r.analysis,
     })
 }
